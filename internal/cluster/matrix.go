@@ -31,8 +31,13 @@ func NewMatrix(items []vector.Vec, dist vector.DistanceFunc) *Matrix {
 // NewMatrixWorkers is NewMatrix with an explicit worker bound (<= 0 means
 // the GOMAXPROCS default, 1 the sequential path). dist must be safe for
 // concurrent calls when workers != 1; each cell is computed exactly once,
-// so the result is identical for every worker count.
+// so the result is identical for every worker count. When dist is
+// vector.CosineDistance itself (not a wrapper) the matrix is filled by a
+// dedicated kernel whose cells are bitwise the ones dist would give.
 func NewMatrixWorkers(items []vector.Vec, dist vector.DistanceFunc, workers int) *Matrix {
+	if isCosineDistance(dist) && sameLen(items) {
+		return newCosineMatrix(items, workers)
+	}
 	return NewMatrixFromFuncWorkers(len(items), func(i, j int) float64 {
 		return dist(items[i], items[j])
 	}, workers)
@@ -52,13 +57,19 @@ func NewMatrixFromFunc(n int, f func(i, j int) float64) *Matrix {
 // construction is race-free and bit-identical to the sequential loop.
 func NewMatrixFromFuncWorkers(n int, f func(i, j int) float64, workers int) *Matrix {
 	m := &Matrix{n: n, d: make([]float32, n*n)}
-	fillRow := func(i int) {
+	m.fillRows(workers, func(i int) {
 		for j := i + 1; j < n; j++ {
-			v := float32(f(i, j))
-			m.d[i*n+j] = v
-			m.d[j*n+i] = v
+			m.set(i, j, f(i, j))
 		}
-	}
+	})
+	return m
+}
+
+// fillRows runs fillRow for every row i, each computing the cells (i, j>i),
+// with rows paired so work units are near-equal (see
+// NewMatrixFromFuncWorkers).
+func (m *Matrix) fillRows(workers int, fillRow func(i int)) {
+	n := m.n
 	half := (n + 1) / 2
 	par.For(workers, half, func(i int) {
 		fillRow(i)
@@ -66,7 +77,13 @@ func NewMatrixFromFuncWorkers(n int, f func(i, j int) float64, workers int) *Mat
 			fillRow(j)
 		}
 	})
-	return m
+}
+
+// set stores the distance of the pair (i, j) in both of its cells.
+func (m *Matrix) set(i, j int, d float64) {
+	v := float32(d)
+	m.d[i*m.n+j] = v
+	m.d[j*m.n+i] = v
 }
 
 // Len returns the number of items.

@@ -109,14 +109,15 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 		e.calls.Add(1)
 	}
 	content := make(vector.Vec, e.dim)
+	// scratch holds a pseudo-vector the token cache does not serve: every
+	// vector at a non-default dimension, and the per-input noise vector.
+	scratch := make(vector.Vec, e.dim)
 	if len(tokens) > 0 {
-		tok := make(vector.Vec, e.dim)
 		isColHeader := func(t string) bool {
 			return len(t) > 2 && t[0] == 'H' && t[1] == ':'
 		}
 		for i, t := range tokens {
-			pseudoVector(hashString(t, e.seed), tok)
-			vecAddScaled(content, tok, 1)
+			addPseudoVector(content, scratch, hashString(t, e.seed), 1)
 			if cls, ok := classOf(t); ok {
 				// Pre-trained lexical semantics: synonym tokens share a
 				// class vector (see lexicon.go). Column-context header
@@ -131,19 +132,17 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 				case len(t) > 2 && t[0] == 'h' && t[1] == ':':
 					w = 1.2
 				}
-				pseudoVector(hashString("class:"+cls, e.seed), tok)
-				vecAddScaled(content, tok, w)
+				addPseudoVector(content, scratch, classKey(cls, e.seed), w)
 			}
 			if e.contextual && i+1 < len(tokens) && !isColHeader(t) && !isColHeader(tokens[i+1]) {
 				// Language-model flavour: bigram context vectors let the
 				// encoder distinguish token order and co-occurrence.
 				// Column-header tokens stay out of the bigram stream so
 				// their repetition does not fabricate context.
-				pseudoVector(hashString(tokens[i]+"\x00"+tokens[i+1], e.seed), tok)
-				vecAddScaled(content, tok, 0.5)
+				addPseudoVector(content, scratch, bigramKey(t, tokens[i+1], e.seed), 0.5)
 			}
 		}
-		content = vector.Normalize(content)
+		vector.NormalizeInPlace(content)
 	}
 
 	// The shared component takes the anisotropy fraction; the remainder is
@@ -154,11 +153,11 @@ func (e *Encoder) EncodeTokens(tokens []string) vector.Vec {
 	vecAddScaled(out, content, contentScale*(1-e.noise))
 	vecAddScaled(out, e.common, e.anisotropy)
 	if e.noise > 0 {
-		noise := make(vector.Vec, e.dim)
-		pseudoVector(hashString(joinTokens(tokens), e.seed^0xA0A0), noise)
-		vecAddScaled(out, noise, contentScale*e.noise)
+		pseudoVector(noiseKey(tokens, e.seed^0xA0A0), scratch)
+		vecAddScaled(out, scratch, contentScale*e.noise)
 	}
-	return vector.Normalize(out)
+	vector.NormalizeInPlace(out)
+	return out
 }
 
 // vecAddScaled adds s*src into dst.
@@ -166,17 +165,4 @@ func vecAddScaled(dst, src vector.Vec, s float64) {
 	for i := range dst {
 		dst[i] += s * src[i]
 	}
-}
-
-func joinTokens(tokens []string) string {
-	n := 0
-	for _, t := range tokens {
-		n += len(t) + 1
-	}
-	b := make([]byte, 0, n)
-	for _, t := range tokens {
-		b = append(b, t...)
-		b = append(b, 0x1f)
-	}
-	return string(b)
 }

@@ -35,14 +35,44 @@ func splitmix64(state uint64) (uint64, uint64) {
 
 // hashString folds s into a 64-bit FNV-1a hash mixed with seed.
 func hashString(s string, seed uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ (seed * 0x9e3779b97f4a7c15)
+	return hashAdd(hashSeed(seed), s)
+}
+
+// hashSeed, hashAdd and hashByte are hashString in streaming form: they
+// hash a key from its parts without building the concatenated string, so
+// hashAdd(hashAdd(hashSeed(seed), a), b) == hashString(a+b, seed).
+func hashSeed(seed uint64) uint64 {
+	const offset = 14695981039346656037
+	return offset ^ (seed * 0x9e3779b97f4a7c15)
+}
+
+func hashAdd(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
+		h = hashByte(h, s[i])
+	}
+	return h
+}
+
+func hashByte(h uint64, b byte) uint64 {
+	const prime = 1099511628211
+	return (h ^ uint64(b)) * prime
+}
+
+// classKey is hashString("class:"+cls, seed).
+func classKey(cls string, seed uint64) uint64 {
+	return hashAdd(hashAdd(hashSeed(seed), "class:"), cls)
+}
+
+// bigramKey is hashString(a+"\x00"+b, seed).
+func bigramKey(a, b string, seed uint64) uint64 {
+	return hashAdd(hashByte(hashString(a, seed), 0), b)
+}
+
+// noiseKey is hashString of the tokens each followed by a 0x1f separator.
+func noiseKey(tokens []string, seed uint64) uint64 {
+	h := hashSeed(seed)
+	for _, t := range tokens {
+		h = hashByte(hashAdd(h, t), 0x1f)
 	}
 	return h
 }

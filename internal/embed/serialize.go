@@ -65,9 +65,11 @@ func (e *Encoder) EncodeTuple(headers, values []string) []float64 {
 
 // EncodeTupleBatch embeds many tuples sharing one header schema across at
 // most workers goroutines (workers <= 0 selects the GOMAXPROCS default,
-// workers == 1 is the sequential path). The encoder is stateless after
-// construction, so the output is bit-identical to calling EncodeTuple row
-// by row.
+// workers == 1 is the sequential path). The encoder's configuration is
+// read-only after construction, and the only state calls share is the
+// process-wide token-vector cache, which serves exactly the vectors it
+// would recompute, so the output is bit-identical to calling EncodeTuple
+// row by row.
 func (e *Encoder) EncodeTupleBatch(headers []string, rows [][]string, workers int) []vector.Vec {
 	return par.Map(workers, len(rows), func(i int) vector.Vec {
 		return e.EncodeTuple(headers, rows[i])

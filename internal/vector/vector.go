@@ -156,16 +156,20 @@ func AddInPlace(a, b Vec) {
 // Normalize returns v scaled to unit L2 norm; a zero vector is returned
 // unchanged (as a copy).
 func Normalize(v Vec) Vec {
+	out := Clone(v)
+	NormalizeInPlace(out)
+	return out
+}
+
+// NormalizeInPlace scales v to unit L2 norm; a zero vector is left as is.
+func NormalizeInPlace(v Vec) {
 	n := Norm(v)
-	out := make(Vec, len(v))
 	if n == 0 {
-		copy(out, v)
-		return out
+		return
 	}
 	for i := range v {
-		out[i] = v[i] / n
+		v[i] /= n
 	}
-	return out
 }
 
 // Mean returns the component-wise mean of vs. It panics if vs is empty,
