@@ -63,6 +63,10 @@ type Pipeline struct {
 type Option func(*Pipeline)
 
 // WithSearcher replaces the table union searcher (default: Starmie-like).
+// A search.Index (every built-in searcher) gets the full pipeline surface;
+// a plain search.Searcher serves queries only, and the index accessors
+// (AddTable, Clone, Compact, ModeView, ...) report their absent-capability
+// answers for it.
 func WithSearcher(s search.Searcher) Option { return func(p *Pipeline) { p.searcher = s } }
 
 // WithColumnEncoder replaces the column encoder used for alignment
@@ -92,9 +96,9 @@ func WithTopTables(n int) Option { return func(p *Pipeline) { p.topTables = n } 
 // pool instead of the lake size. DUST itself only needs a candidate pool of
 // unionable tuples before diversification, which is what makes the
 // approximate stage safe for the pipeline's quality. A searcher supplied
-// via WithSearcher that does not implement search.Staged keeps its own
-// retrieval and ignores this option; a Mode value the search package does
-// not define makes New panic.
+// via WithSearcher that is not a search.Index keeps its own retrieval and
+// ignores this option; a Mode value the search package does not define
+// makes New panic.
 func WithRetriever(m search.Mode) Option { return func(p *Pipeline) { p.retrieval = m } }
 
 // WithShards partitions the lake into n hash-assigned shards, each with
@@ -143,8 +147,8 @@ func WithEfSearch(ef int) Option { return func(p *Pipeline) { p.efSearch = ef } 
 // kernels — and the number of queries SearchBatch serves concurrently.
 // n <= 0 (the default) derives the bound from GOMAXPROCS; n == 1 forces
 // the sequential path. A searcher supplied via WithSearcher is re-bounded
-// to n as well when it implements search.QueryBounded (the built-in
-// searchers do). Results are bit-identical for every setting.
+// to n as well when it is a search.Index (the built-in searchers are).
+// Results are bit-identical for every setting.
 func WithWorkers(n int) Option {
 	return func(p *Pipeline) { p.workers, p.workersSet = n, true }
 }
@@ -162,7 +166,8 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 	for _, o := range opts {
 		o(p)
 	}
-	if p.searcher == nil {
+	supplied := p.searcher != nil
+	if !supplied {
 		// Built after the options so the default index honours WithWorkers,
 		// WithShards, and WithQuantized.
 		if p.shards > 1 {
@@ -172,40 +177,46 @@ func New(l *lake.Lake, opts ...Option) *Pipeline {
 			p.searcher = search.NewStarmie(l,
 				search.WithWorkers(p.workers), search.WithQuantized(p.quantized))
 		}
-	} else if p.workersSet {
+	}
+	ix, ok := p.index()
+	if !ok {
+		return p
+	}
+	if supplied && p.workersSet {
 		// An explicit WithWorkers also re-bounds a supplied searcher's
 		// query-time scoring; without it the searcher keeps its own bound.
-		if qb, ok := p.searcher.(search.QueryBounded); ok {
-			p.searcher = qb.QueryWorkers(p.workers)
-		}
+		ix = ix.QueryWorkers(p.workers)
+		p.searcher = ix
 	}
 	// Retrieval tuning applies to supplied and warm-started searchers too,
 	// and quantization lands before the mode flip below so a graph built by
 	// SetMode comes up in the requested storage directly.
 	if p.quantizedSet {
-		if q, ok := p.searcher.(interface{ SetQuantized(bool) }); ok {
-			q.SetQuantized(p.quantized)
-		}
+		ix.SetQuantized(p.quantized)
 	}
-	if t, ok := p.searcher.(search.Tunable); ok {
-		if p.oversample > 0 {
-			t.SetOversample(p.oversample)
-		}
-		if p.efSearch > 0 {
-			t.SetEfSearch(p.efSearch)
-		}
+	if p.oversample > 0 {
+		ix.SetOversample(p.oversample)
+	}
+	if p.efSearch > 0 {
+		ix.SetEfSearch(p.efSearch)
 	}
 	if p.retrieval != search.Exact {
-		if st, ok := p.searcher.(search.Staged); ok {
-			if err := st.SetMode(p.retrieval); err != nil {
-				// A Mode value this package does not define is a
-				// programming error; silently serving the exact scan
-				// would hide it behind nothing but latency.
-				panic(err)
-			}
+		if err := ix.SetMode(p.retrieval); err != nil {
+			// A Mode value this package does not define is a programming
+			// error; silently serving the exact scan would hide it behind
+			// nothing but latency.
+			panic(err)
 		}
 	}
 	return p
+}
+
+// index returns the pipeline's searcher as a search.Index — the one
+// capability check behind every index accessor below. ok is false for a
+// plain search.Searcher supplied via WithSearcher.
+func (p *Pipeline) index() (search.Index, bool) {
+	ix, ok := p.searcher.(search.Index)
+	return ix, ok
 }
 
 // Result is the output of one diverse unionable tuple search.
@@ -343,7 +354,7 @@ func (p *Pipeline) SearchContext(ctx context.Context, query *table.Table, k int)
 // a bounded worker pool of WithWorkers size (the pool suits the irregular
 // per-query cost better than static chunking). The worker budget shifts
 // from data parallelism to query parallelism: each query's alignment,
-// embedding, diversification, and (for QueryBounded searchers, which the
+// embedding, diversification, and (for search.Index searchers, which the
 // defaults are) scoring kernels run sequentially so the batch as a whole
 // stays within the WithWorkers bound instead of multiplying it. Results are
 // index-aligned with queries; a query that fails leaves a nil slot and
@@ -395,7 +406,7 @@ func (p *Pipeline) ConfigTag() string {
 
 // QueryBound returns a pipeline view sharing this pipeline's lake, index,
 // and encoders whose per-query parallelism — alignment, embedding,
-// diversification, and (for QueryBounded searchers, which the defaults are)
+// diversification, and (for search.Index searchers, which the defaults are)
 // candidate scoring — is bounded to n workers. Concurrent servers use it so
 // per-query fan-out does not multiply their request-level concurrency;
 // SearchBatch builds its inner per-query pipeline with it. The returned
@@ -406,24 +417,24 @@ func (p *Pipeline) QueryBound(n int) *Pipeline {
 	c := *p
 	c.workers = n
 	c.workersSet = true
-	if qb, ok := p.searcher.(search.QueryBounded); ok {
-		c.searcher = qb.QueryWorkers(n)
+	if ix, ok := p.index(); ok {
+		c.searcher = ix.QueryWorkers(n)
 	}
 	return &c
 }
 
 // MaintenanceStats reports the tombstone debt of the searcher's mutable
-// index structures (HNSW graphs, LSH banding indexes), merged across
-// shards for sharded searchers; ok is false when the searcher does not
-// track maintenance state. A background maintainer watches it to decide
-// when a compaction pass (Compact on a Clone, then a snapshot swap) is
-// worth running.
+// index structures (HNSW graphs, LSH banding indexes), merged across shards
+// for sharded searchers; ok is false for a plain search.Searcher, which
+// tracks no maintenance state. A background maintainer watches it to decide
+// when a compaction pass (Compact on a Clone, then a snapshot swap) is worth
+// running.
 func (p *Pipeline) MaintenanceStats() (search.MaintenanceStats, bool) {
-	m, ok := p.searcher.(search.Maintainable)
+	ix, ok := p.index()
 	if !ok {
 		return search.MaintenanceStats{}, false
 	}
-	return m.MaintenanceStats(), true
+	return ix.MaintenanceStats(), true
 }
 
 // SetAutoCompact toggles the searcher's inline compaction policy and
@@ -433,12 +444,11 @@ func (p *Pipeline) MaintenanceStats() (search.MaintenanceStats, bool) {
 // policy hook — so mutations stay O(delta) and a maintenance layer
 // compacts on its own schedule via Compact.
 func (p *Pipeline) SetAutoCompact(on bool) bool {
-	m, ok := p.searcher.(search.Maintainable)
-	if !ok {
-		return false
+	ix, ok := p.index()
+	if ok {
+		ix.SetAutoCompact(on)
 	}
-	m.SetAutoCompact(on)
-	return true
+	return ok
 }
 
 // Compact rebuilds the searcher's tombstoned index structures now,
@@ -447,30 +457,27 @@ func (p *Pipeline) SetAutoCompact(on bool) bool {
 // tombstoned self — and does not advance the epoch, so serving caches
 // keyed by (tag, epoch) stay valid across it. Not safe concurrently with
 // queries or mutations: run it on a Clone and swap, as
-// serve.WithMaintenance does.
+// serve.WithMaintenance does. A plain search.Searcher reports false.
 func (p *Pipeline) Compact() bool {
-	m, ok := p.searcher.(search.Maintainable)
-	if !ok {
-		return false
-	}
-	return m.Compact()
+	ix, ok := p.index()
+	return ok && ix.Compact()
 }
 
 // ModeView returns a query-only pipeline view whose searcher runs under
-// retrieval mode m, sharing every piece of index state with the receiver;
-// ok is false when the searcher cannot produce the view (not Staged, or
-// the mode's backend is not installed — see PrepareANN). The view is for
-// querying only — never mutate it — and concurrent queries on view and
-// receiver are safe. A serving layer uses it to degrade individual
-// requests to ANN retrieval under load; the view's ConfigTag differs from
-// the receiver's (the searcher name carries the mode), so caches keyed by
-// tag never mix the two plans' results.
+// retrieval mode m, sharing every piece of index state with the receiver; ok
+// is false when the searcher cannot produce the view (a plain
+// search.Searcher, or the mode's backend is not installed — see PrepareANN).
+// The view is for querying only — never mutate it — and concurrent queries
+// on view and receiver are safe. A serving layer uses it to degrade
+// individual requests to ANN retrieval under load; the view's ConfigTag
+// differs from the receiver's (the searcher name carries the mode), so
+// caches keyed by tag never mix the two plans' results.
 func (p *Pipeline) ModeView(m search.Mode) (*Pipeline, bool) {
-	mv, ok := p.searcher.(search.ModeViewer)
+	ix, ok := p.index()
 	if !ok {
 		return nil, false
 	}
-	v, ok := mv.ModeView(m)
+	v, ok := ix.ModeView(m)
 	if !ok {
 		return nil, false
 	}
@@ -483,24 +490,24 @@ func (p *Pipeline) ModeView(m search.Mode) (*Pipeline, bool) {
 // PrepareANN builds the searcher's approximate retrieval structures (the
 // HNSW graphs) without leaving the current retrieval mode, so that
 // ModeView(search.ANN) becomes available on an exact-mode pipeline. An
-// installed graph survives mode flips and keeps absorbing mutations, so
-// the preparation stays valid across the pipeline's life (clones
-// included). Reports whether the ANN view is now available; false for
-// searchers without a staged retrieval surface. Not safe concurrently
-// with queries — call before serving starts.
+// installed graph survives mode flips and keeps absorbing mutations, so the
+// preparation stays valid across the pipeline's life (clones included).
+// Reports whether the ANN view is now available; false for a plain
+// search.Searcher. Not safe concurrently with queries — call before serving
+// starts.
 func (p *Pipeline) PrepareANN() bool {
-	st, ok := p.searcher.(search.Staged)
+	ix, ok := p.index()
 	if !ok {
 		return false
 	}
-	cur := st.RetrievalMode()
+	cur := ix.RetrievalMode()
 	if cur == search.ANN {
 		return true
 	}
-	if err := st.SetMode(search.ANN); err != nil {
+	if err := ix.SetMode(search.ANN); err != nil {
 		return false
 	}
-	if err := st.SetMode(cur); err != nil {
+	if err := ix.SetMode(cur); err != nil {
 		// cur came from RetrievalMode and always round-trips.
 		panic(err)
 	}
@@ -515,8 +522,8 @@ func (p *Pipeline) PrepareANN() bool {
 // such resources and Close is then a no-op. Queries after Close panic for
 // sharded pipelines.
 func (p *Pipeline) Close() {
-	if c, ok := p.searcher.(interface{ Close() }); ok {
-		c.Close()
+	if sh, ok := p.searcher.(*shard.Searcher); ok {
+		sh.Close()
 	}
 }
 
@@ -524,11 +531,11 @@ func (p *Pipeline) Close() {
 // shard order, or nil for a monolithic index. Serving layers expose the
 // partition balance through it without reaching into the shard layout.
 func (p *Pipeline) ShardSizes() []int {
-	st, ok := p.searcher.(interface{ ShardTables() [][]string })
+	sh, ok := p.searcher.(*shard.Searcher)
 	if !ok {
 		return nil
 	}
-	tables := st.ShardTables()
+	tables := sh.ShardTables()
 	sizes := make([]int, len(tables))
 	for i, names := range tables {
 		sizes[i] = len(names)
@@ -540,13 +547,15 @@ func (p *Pipeline) ShardSizes() []int {
 // structures (summed across shards for a sharded searcher): the storage
 // kind — "quantized", "float", "none" when no graph is installed, or
 // "mixed" for a heterogeneous shard set — and the estimated bytes. The
-// serving layer exports it as the dust_index_bytes gauge.
+// serving layer exports it as the dust_index_bytes gauge. A plain
+// search.Searcher reports "none".
 func (p *Pipeline) IndexBytes() search.IndexFootprint {
-	if sz, ok := p.searcher.(search.IndexSizer); ok {
-		st, b := sz.IndexBytes()
-		return search.IndexFootprint{Storage: st, Bytes: b}
+	ix, ok := p.index()
+	if !ok {
+		return search.IndexFootprint{Storage: "none"}
 	}
-	return search.IndexFootprint{Storage: "none"}
+	st, b := ix.IndexBytes()
+	return search.IndexFootprint{Storage: st, Bytes: b}
 }
 
 // ShardIndexBytes reports the per-shard resident index footprints of a
@@ -554,10 +563,8 @@ func (p *Pipeline) IndexBytes() search.IndexFootprint {
 // the per-shard series behind the serving layer's dust_index_bytes
 // gauge.
 func (p *Pipeline) ShardIndexBytes() []search.IndexFootprint {
-	if s, ok := p.searcher.(interface {
-		ShardIndexBytes() []search.IndexFootprint
-	}); ok {
-		return s.ShardIndexBytes()
+	if sh, ok := p.searcher.(*shard.Searcher); ok {
+		return sh.ShardIndexBytes()
 	}
 	return nil
 }
@@ -570,12 +577,11 @@ func (p *Pipeline) ShardIndexBytes() []search.IndexFootprint {
 // — keep recording into the same accumulator. Attach before querying
 // starts; the hook is not synchronized with in-flight queries.
 func (p *Pipeline) InstrumentScatter(st *shard.StageTimings) bool {
-	in, ok := p.searcher.(interface{ Instrument(*shard.StageTimings) })
-	if !ok {
-		return false
+	sh, ok := p.searcher.(*shard.Searcher)
+	if ok {
+		sh.Instrument(st)
 	}
-	in.Instrument(st)
-	return true
+	return ok
 }
 
 // tableRows collects a table's rows for batch encoding.

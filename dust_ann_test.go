@@ -60,7 +60,7 @@ func TestPipelineANNWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := warm.searcher.(search.Staged); !ok || st.RetrievalMode() != search.ANN {
+	if ix, ok := warm.index(); !ok || ix.RetrievalMode() != search.ANN {
 		t.Fatal("warm start did not restore ANN mode")
 	}
 	got, err := warm.Search(q, 10)

@@ -9,6 +9,7 @@ import (
 	"dust/internal/datagen"
 	"dust/internal/model"
 	"dust/internal/search"
+	"dust/internal/shard"
 	"dust/internal/table"
 )
 
@@ -182,6 +183,38 @@ func TestSaveIndexUnsupportedSearcher(t *testing.T) {
 	}
 	if err := p.RemoveTable("x"); !errors.Is(err, ErrNotIncremental) {
 		t.Errorf("RemoveTable err = %v, want ErrNotIncremental", err)
+	}
+	// Every other index accessor answers with its documented
+	// absent-capability value for a plain search.Searcher.
+	if _, err := p.Clone(); !errors.Is(err, ErrNotCloneable) {
+		t.Errorf("Clone err = %v, want ErrNotCloneable", err)
+	}
+	if _, ok := p.MaintenanceStats(); ok {
+		t.Error("MaintenanceStats ok = true")
+	}
+	if p.SetAutoCompact(false) {
+		t.Error("SetAutoCompact = true")
+	}
+	if p.Compact() {
+		t.Error("Compact = true")
+	}
+	if _, ok := p.ModeView(search.ANN); ok {
+		t.Error("ModeView ok = true")
+	}
+	if p.PrepareANN() {
+		t.Error("PrepareANN = true")
+	}
+	if fp := p.IndexBytes(); fp != (search.IndexFootprint{Storage: "none"}) {
+		t.Errorf("IndexBytes = %+v, want none/0", fp)
+	}
+	if got := p.ShardSizes(); got != nil {
+		t.Errorf("ShardSizes = %v, want nil", got)
+	}
+	if got := p.ShardIndexBytes(); got != nil {
+		t.Errorf("ShardIndexBytes = %v, want nil", got)
+	}
+	if p.InstrumentScatter(&shard.StageTimings{}) {
+		t.Error("InstrumentScatter = true")
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"dust/internal/datagen"
 	"dust/internal/lake"
@@ -422,4 +424,54 @@ func TestPipelineShardedD3L(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "warm sharded d3l", got, want)
+}
+
+// TestPipelineCloseReleasesScatterPool pins that Close releases the scatter
+// pool of a sharded searcher that WithWorkers re-bounded to a query view —
+// a warm-started sharded index and a supplied *shard.Searcher alike — so
+// repeated loads do not accumulate idle pool workers.
+func TestPipelineCloseReleasesScatterPool(t *testing.T) {
+	b, q := benchLake(t)
+	idxDir := t.TempDir()
+	saved := New(b.Lake, WithShards(2))
+	if err := saved.SaveIndex(idxDir); err != nil {
+		t.Fatal(err)
+	}
+	saved.Close()
+	builds := []struct {
+		name  string
+		build func() (*Pipeline, error)
+	}{
+		{"warm start", func() (*Pipeline, error) {
+			return LoadPipelineLake(b.Lake, idxDir, WithTopTables(5), WithWorkers(2))
+		}},
+		{"supplied", func() (*Pipeline, error) {
+			s := shard.NewStarmie(b.Lake, 2, shard.Config{Workers: 4})
+			return New(b.Lake, WithTopTables(5), WithSearcher(s), WithWorkers(2)), nil
+		}},
+	}
+	for _, bc := range builds {
+		t.Run(bc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for i := 0; i < 3; i++ {
+				p, err := bc.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Search(q, 5); err != nil {
+					t.Fatal(err)
+				}
+				p.Close()
+			}
+			// Pool workers exit once Close returns, but the runtime may
+			// count an exiting goroutine for a moment longer.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > base {
+				t.Fatalf("%d goroutines after three load/Close cycles, %d before", got, base)
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestANNRecall(t *testing.T) {
 	})
 }
 
-// TestExactModeUnchanged pins the refactor: a Staged searcher in Exact
+// TestExactModeUnchanged pins the refactor: an Index in Exact
 // mode — including one that visited ANN mode and came back, carrying a
 // graph — ranks bit-identically to the plain constructor-default path,
 // at workers 1 and 8. This is the "exact mode stays seed behavior"
@@ -316,30 +317,36 @@ func TestSaveLoadANN(t *testing.T) {
 	}
 }
 
-// TestStagedInterface checks the Retriever plumbing: exact retrievers
-// nominate the whole lake, approximate ones a subset, and mode flips are
-// reflected in names (which serving config tags key on).
+// Both table-level searchers implement the full prepared surface the
+// sharding layer composes against.
+var (
+	_ PreparedIndex = (*Starmie)(nil)
+	_ PreparedIndex = (*D3L)(nil)
+)
+
+// TestStagedInterface checks the candidate stage through the prepared
+// nomination path at the depth a top-10 query samples: exact mode
+// nominates the whole lake, ANN mode a non-empty strict subset, and mode
+// flips are reflected in names (which serving config tags key on).
 func TestStagedInterface(t *testing.T) {
 	// The full-size fixture: LSH candidate generation needs enough value
 	// overlap between derived tables to populate its buckets at all.
 	b := annBench(t)
-	for _, mk := range []func() Staged{
-		func() Staged { return NewStarmie(b.Lake) },
-		func() Staged { return NewD3L(b.Lake) },
-	} {
-		s := mk()
-		if s.RetrievalMode() != Exact {
-			t.Fatalf("%s: default mode = %v, want Exact", s.Name(), s.RetrievalMode())
-		}
-		if got := s.Retriever().Name(); got != "exact" {
-			t.Fatalf("%s: exact retriever named %q", s.Name(), got)
-		}
-		names, err := s.Retriever().Retrieve(context.Background(), b.Queries[0], 10)
+	depth := int(math.Ceil(DefaultOversample * 10))
+	nominate := func(s PreparedIndex) []string {
+		t.Helper()
+		names, err := s.NominatePrepared(context.Background(), s.Prepare(b.Queries[0]), depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(names) != b.Lake.Len() {
-			t.Fatalf("%s: exact retriever nominated %d of %d tables", s.Name(), len(names), b.Lake.Len())
+		return names
+	}
+	for _, s := range []PreparedIndex{NewStarmie(b.Lake), NewD3L(b.Lake)} {
+		if s.RetrievalMode() != Exact {
+			t.Fatalf("%s: default mode = %v, want Exact", s.Name(), s.RetrievalMode())
+		}
+		if n := len(nominate(s)); n != b.Lake.Len() {
+			t.Fatalf("%s: exact mode nominated %d of %d tables", s.Name(), n, b.Lake.Len())
 		}
 		exactName := s.Name()
 		if err := s.SetMode(ANN); err != nil {
@@ -348,12 +355,8 @@ func TestStagedInterface(t *testing.T) {
 		if s.Name() == exactName {
 			t.Fatalf("%s: ANN mode did not change the searcher name", exactName)
 		}
-		names, err = s.Retriever().Retrieve(context.Background(), b.Queries[0], 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(names) == 0 || len(names) >= b.Lake.Len() {
-			t.Fatalf("%s: approximate retriever nominated %d of %d tables", s.Name(), len(names), b.Lake.Len())
+		if n := len(nominate(s)); n == 0 || n >= b.Lake.Len() {
+			t.Fatalf("%s: ANN mode nominated %d of %d tables", s.Name(), n, b.Lake.Len())
 		}
 		if err := s.SetMode(Mode(99)); !errors.Is(err, ErrUnknownMode) {
 			t.Fatalf("%s: SetMode(99) err = %v, want ErrUnknownMode", s.Name(), err)

@@ -23,7 +23,7 @@ func TestTopKContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for _, s := range []ContextSearcher{NewStarmie(b.Lake), NewD3L(b.Lake)} {
+	for _, s := range []Index{NewStarmie(b.Lake), NewD3L(b.Lake)} {
 		hits, err := s.TopKContext(ctx, q, 5)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: TopKContext = %v, want context.Canceled", s.Name(), err)
@@ -44,7 +44,7 @@ func TestTopKContextCancelled(t *testing.T) {
 func TestTopKContextMatchesTopK(t *testing.T) {
 	b := ctxLake()
 	q := b.Queries[0]
-	for _, s := range []ContextSearcher{NewStarmie(b.Lake), NewD3L(b.Lake)} {
+	for _, s := range []Index{NewStarmie(b.Lake), NewD3L(b.Lake)} {
 		want := s.TopK(q, 5)
 		got, err := s.TopKContext(context.Background(), q, 5)
 		if err != nil {
@@ -84,16 +84,16 @@ func TestTopKCtxPlainSearcher(t *testing.T) {
 func TestCloneWithLakeIsolation(t *testing.T) {
 	b := ctxLake()
 	q := b.Queries[0]
-	build := []func() Searcher{
-		func() Searcher { return NewStarmie(b.Lake) },
-		func() Searcher { return NewD3L(b.Lake) },
+	build := []func() Index{
+		func() Index { return NewStarmie(b.Lake) },
+		func() Index { return NewD3L(b.Lake) },
 	}
 	for _, f := range build {
 		orig := f()
 		want := orig.TopK(q, 5)
 
 		l2 := b.Lake.Clone()
-		clone := orig.(Cloner).CloneWithLake(l2).(Incremental)
+		clone := orig.CloneWithLake(l2)
 		extra := b.Lake.Tables()[0].Clone("zz_cloned_extra")
 		if err := l2.Add(extra); err != nil {
 			t.Fatal(err)

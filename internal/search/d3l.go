@@ -125,7 +125,7 @@ func (d *D3L) Name() string {
 	return "d3l"
 }
 
-// SetMode implements Staged. D3L's approximate backend is its LSH banding
+// SetMode implements Index. D3L's approximate backend is its LSH banding
 // index rather than HNSW, so switching is free: the index already exists
 // for the value-overlap signal.
 func (d *D3L) SetMode(m Mode) error {
@@ -136,37 +136,22 @@ func (d *D3L) SetMode(m Mode) error {
 	return nil
 }
 
-// RetrievalMode implements Staged.
+// RetrievalMode implements Index.
 func (d *D3L) RetrievalMode() Mode { return d.mode }
 
-// Retriever implements Staged.
-func (d *D3L) Retriever() Retriever {
-	if d.mode == ANN {
-		return lshRetriever{d}
-	}
-	return exactRetriever{d.lake}
-}
+// IndexBytes implements Index: D3L builds no HNSW graph, so there is no
+// candidate graph to report.
+func (d *D3L) IndexBytes() (string, int64) { return "none", 0 }
 
-// lshRetriever re-expresses D3L's pruning path (CandidateTables) through
-// the staged Retriever interface: candidates are the tables sharing an
-// LSH bucket with any query column. The limit is advisory — LSH buckets
-// are set-shaped — and recall depends on value overlap, so queries whose
-// unionable tables share few values retrieve less than the HNSW backends
-// would.
-type lshRetriever struct{ d *D3L }
+// SetOversample implements Index as a no-op: the LSH buckets D3L nominates
+// from are set-shaped, so there is no candidate depth to size.
+func (d *D3L) SetOversample(float64) {}
 
-func (lshRetriever) Name() string { return "lsh" }
+// SetEfSearch implements Index as a no-op: D3L has no HNSW traversal.
+func (d *D3L) SetEfSearch(int) {}
 
-func (r lshRetriever) Retrieve(ctx context.Context, query *table.Table, _ int) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sigs := make([]minhash.Signature, query.NumCols())
-	for i := range query.Columns {
-		sigs[i] = r.d.hasher.Sign(query.Columns[i].Values)
-	}
-	return r.d.candidateNamesSigned(sigs), nil
-}
+// SetQuantized implements Index as a no-op: D3L has no graph to quantize.
+func (d *D3L) SetQuantized(bool) {}
 
 // candidateNamesSigned is the LSH retrieval stage for query-column
 // signatures the caller already computed (TopKContext signs every column
@@ -212,24 +197,24 @@ func (d *D3L) RemoveTable(name string) error {
 	return nil
 }
 
-// QueryWorkers implements QueryBounded: the returned searcher shares this
+// QueryWorkers implements Index: the returned searcher shares this
 // searcher's index (immutable after construction) and scores queries with
 // at most n workers.
-func (d *D3L) QueryWorkers(n int) Searcher {
+func (d *D3L) QueryWorkers(n int) Index {
 	c := *d
 	c.workers = n
 	return &c
 }
 
-// SetAutoCompact implements Maintainable, delegating to the LSH banding
+// SetAutoCompact implements Index, delegating to the LSH banding
 // index (D3L's only tombstoning structure).
 func (d *D3L) SetAutoCompact(on bool) { d.lsh.SetAutoCompact(on) }
 
-// Compact implements Maintainable: it compacts the LSH banding index,
+// Compact implements Index: it compacts the LSH banding index,
 // reporting whether any tombstones were reclaimed.
 func (d *D3L) Compact() bool { return d.lsh.Compact() }
 
-// MaintenanceStats implements Maintainable.
+// MaintenanceStats implements Index.
 func (d *D3L) MaintenanceStats() MaintenanceStats {
 	return MaintenanceStats{
 		LSHEntries:      d.lsh.Len() + d.lsh.Dead(),
@@ -238,10 +223,10 @@ func (d *D3L) MaintenanceStats() MaintenanceStats {
 	}
 }
 
-// ModeView implements ModeViewer. D3L's approximate backend is its LSH
+// ModeView implements Index. D3L's approximate backend is its LSH
 // banding index, which always exists, so a view of either mode is a free
 // shallow copy.
-func (d *D3L) ModeView(m Mode) (Searcher, bool) {
+func (d *D3L) ModeView(m Mode) (Index, bool) {
 	if m == d.mode {
 		return d, true
 	}
@@ -253,12 +238,12 @@ func (d *D3L) ModeView(m Mode) (Searcher, bool) {
 	return &c, true
 }
 
-// CloneWithLake implements Cloner: the clone is bound to l and owns its own
+// CloneWithLake implements Index: the clone is bound to l and owns its own
 // signal maps and LSH banding index, sharing the per-column signature,
 // vector, and profile slices (install replaces whole slices; nothing writes
 // into one). Mutations on the clone leave this searcher — and queries in
 // flight against it — untouched.
-func (d *D3L) CloneWithLake(l *lake.Lake) Searcher {
+func (d *D3L) CloneWithLake(l *lake.Lake) Index {
 	c := *d
 	c.lake = l
 	c.lsh = d.lsh.Clone()
@@ -322,7 +307,7 @@ type d3lPrepared struct {
 // Query implements PreparedQuery.
 func (p *d3lPrepared) Query() *table.Table { return p.query }
 
-// Prepare implements PreparedSearcher: the query's five per-column signals
+// Prepare implements PreparedIndex: the query's five per-column signals
 // are derived exactly once.
 func (d *D3L) Prepare(query *table.Table) PreparedQuery {
 	n := query.NumCols()
@@ -343,7 +328,7 @@ func (d *D3L) Prepare(query *table.Table) PreparedQuery {
 	return p
 }
 
-// TopKContext implements ContextSearcher: the candidate scan stops scoring
+// TopKContext implements Index: the candidate scan stops scoring
 // further tables once ctx is cancelled and the call returns ctx.Err().
 func (d *D3L) TopKContext(ctx context.Context, query *table.Table, k int) ([]Scored, error) {
 	if err := ctx.Err(); err != nil {
@@ -355,7 +340,7 @@ func (d *D3L) TopKContext(ctx context.Context, query *table.Table, k int) ([]Sco
 	return d.TopKPrepared(ctx, pq, k)
 }
 
-// TopKPrepared implements PreparedSearcher: TopKContext minus the signal
+// TopKPrepared implements PreparedIndex: TopKContext minus the signal
 // derivation, which pq already carries.
 func (d *D3L) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
 	p, ok := pq.(*d3lPrepared)
@@ -415,7 +400,7 @@ func (d *D3L) scorePrepared(p *d3lPrepared, t *table.Table) float64 {
 	return sum / float64(n)
 }
 
-// NominatePrepared implements PreparedNominator: the tables sharing an LSH
+// NominatePrepared implements PreparedIndex: the tables sharing an LSH
 // bucket with any query column in ANN mode (depth is advisory — buckets are
 // set-shaped), every lake table otherwise. An empty return means no bucket
 // matched anywhere; the coordinator picks the fallback, mirroring the
@@ -434,7 +419,7 @@ func (d *D3L) NominatePrepared(ctx context.Context, pq PreparedQuery, depth int)
 	return d.candidateNamesSigned(p.sigs), nil
 }
 
-// ScorePrepared implements PreparedNominator.
+// ScorePrepared implements PreparedIndex.
 func (d *D3L) ScorePrepared(pq PreparedQuery, t *table.Table) float64 {
 	return d.scorePrepared(pq.(*d3lPrepared), t)
 }

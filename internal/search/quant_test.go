@@ -68,7 +68,7 @@ func TestQuantizedANNRecall(t *testing.T) {
 	}
 }
 
-// TestIndexFootprint checks the IndexSizer accounting that feeds the
+// TestIndexFootprint checks the IndexBytes accounting that feeds the
 // dust_index_bytes gauge and /stats: no graph reports "none", a float
 // graph reports "float", and flipping to SQ8 shrinks the stored-vector
 // payload to at most 0.3x of float (d+16 vs 4d bytes per vector).

@@ -35,8 +35,8 @@ type Searcher interface {
 	TopK(query *table.Table, k int) []Scored
 }
 
-// Mode selects the candidate-generation backend of a Staged searcher's
-// query plan (retrieve -> score -> diversify).
+// Mode selects the candidate-generation backend of an Index's query plan
+// (retrieve -> score -> diversify).
 type Mode int
 
 const (
@@ -79,53 +79,12 @@ const (
 // ErrUnknownMode reports SetMode of a Mode this package does not define.
 var ErrUnknownMode = errors.New("search: unknown retrieval mode")
 
-// Retriever is the candidate-generation stage of the staged query plan:
-// given a query it nominates lake tables worth exact scoring, unranked —
-// ranking is the scorer's job. limit is the rank depth the caller
-// intends to score (the k of its top-k); backends oversample internally
-// exactly as the owning searcher's TopK does, and set-shaped backends
-// (the exact scan, LSH buckets) ignore it and return their whole set.
-type Retriever interface {
-	Name() string
-	Retrieve(ctx context.Context, query *table.Table, limit int) ([]string, error)
-}
-
-// Staged is a Searcher whose retrieval stage is pluggable between the
-// exact full scan and an approximate candidate generator whose nominees
-// are re-scored exactly. Starmie and D3L implement it (the tuple-level
-// searcher has the same surface, typed for tuple hits).
-type Staged interface {
-	Searcher
-	// SetMode switches the retrieval backend; entering ANN builds the
-	// approximate index on first use (O(n log n) for HNSW) and is a
-	// no-op when one is already installed (e.g. loaded from disk).
-	SetMode(Mode) error
-	// RetrievalMode reports the active retrieval backend.
-	RetrievalMode() Mode
-	// Retriever exposes the active candidate-generation stage.
-	Retriever() Retriever
-}
-
 // staleGraph reports whether a mutated HNSW graph has crossed the
 // rebuild threshold — the one compaction policy both ANN-capable
 // searchers apply (the size floor keeps tiny, churn-heavy indexes from
 // rebuilding on every other mutation).
 func staleGraph(ix *ann.Index) bool {
 	return ix != nil && ix.Len() >= 8 && ix.DeletedFraction() > rebuildThreshold
-}
-
-// exactRetriever nominates every lake table: stage one of the default
-// query plan and the recall oracle approximate retrievers are measured
-// against.
-type exactRetriever struct{ l *lake.Lake }
-
-func (exactRetriever) Name() string { return "exact" }
-
-func (r exactRetriever) Retrieve(ctx context.Context, _ *table.Table, _ int) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.l.Names(), nil
 }
 
 // Typed failures of the incremental-mutation and persistence surfaces.
@@ -158,32 +117,77 @@ type Incremental interface {
 	RemoveTable(name string) error
 }
 
-// QueryBounded is a Searcher whose query-time scoring parallelism can be
-// re-bounded without re-indexing: QueryWorkers returns a searcher sharing
-// the same immutable index that scores queries with at most n workers.
-// Batch-serving callers use it to stop per-query fan-out from multiplying
-// their own query-level parallelism.
-type QueryBounded interface {
+// Index is the searcher surface the pipeline, its persistence and serving
+// layers, and the sharding layer compose against: Starmie, D3L, and
+// shard.Searcher implement it. Beyond the Searcher and Incremental basics
+// it covers cancellation, the retrieval-mode switch of the staged query
+// plan, query-bounded views, copy-on-write clones, maintenance hooks, and
+// ANN tuning. Methods that do not apply to an implementation (D3L has no
+// HNSW graph to tune or quantize) are documented no-ops.
+type Index interface {
 	Searcher
-	QueryWorkers(n int) Searcher
-}
-
-// ContextSearcher is a Searcher with a cancellation path: TopKContext
-// abandons the ranking once ctx is cancelled and returns ctx.Err() instead
-// of a truncated (and therefore wrong) ranking. All three searchers in this
-// package implement it; their plain TopK is TopKContext under a background
-// context.
-type ContextSearcher interface {
-	Searcher
+	Incremental
+	// TopKContext is TopK with a cancellation path: once ctx is cancelled
+	// it abandons the ranking and returns ctx.Err() instead of a truncated
+	// (and therefore wrong) ranking. TopK is TopKContext under a
+	// background context.
 	TopKContext(ctx context.Context, query *table.Table, k int) ([]Scored, error)
+	// SetMode switches the retrieval backend; entering ANN builds the
+	// approximate index on first use (O(n log n) for HNSW) and is a no-op
+	// when one is already installed (e.g. loaded from disk). A Mode this
+	// package does not define reports ErrUnknownMode.
+	SetMode(Mode) error
+	// RetrievalMode reports the active retrieval backend.
+	RetrievalMode() Mode
+	// ModeView returns a cheap read-only view under retrieval mode m that
+	// shares all index state with the receiver; a serving layer uses it to
+	// degrade single requests to ANN retrieval without flipping the shared
+	// index. The view must not be mutated; concurrent queries on view and
+	// original are safe. ok is false when m's backend is not installed
+	// (e.g. an ANN view of a graph-less Starmie).
+	ModeView(m Mode) (v Index, ok bool)
+	// QueryWorkers returns a view sharing the same index that scores
+	// queries with at most n workers. Batch-serving callers use it to stop
+	// per-query fan-out from multiplying their own query-level parallelism.
+	QueryWorkers(n int) Index
+	// CloneWithLake returns an independently mutable copy bound to l, a
+	// clone of the receiver's lake: mutations on the clone never disturb
+	// the original, while the heavy immutable state (embedding vectors,
+	// signatures) is shared. Snapshot-swapped serving builds its
+	// copy-on-write shadows with it.
+	CloneWithLake(l *lake.Lake) Index
+	// MaintenanceStats exposes the tombstone debt of the mutable index
+	// structures, the signal a background maintainer watches.
+	MaintenanceStats() MaintenanceStats
+	// SetAutoCompact(false) stops mutations from rebuilding tombstoned
+	// structures inline, handing compaction to a maintainer.
+	SetAutoCompact(on bool)
+	// Compact rebuilds tombstoned structures now and reports whether any
+	// work was done. It preserves result identity and is not safe
+	// concurrently with queries or mutations.
+	Compact() bool
+	// IndexBytes returns the candidate index's storage kind —
+	// "quantized", "float", or "none" when no graph is installed — and its
+	// estimated resident bytes (the dust_index_bytes gauge).
+	IndexBytes() (storage string, bytes int64)
+	// SetOversample sizes the ANN candidate pool of a top-k query
+	// (ceil(v*k) nominees before exact re-ranking); v <= 0 restores
+	// DefaultOversample. Exact-mode queries ignore it.
+	SetOversample(v float64)
+	// SetEfSearch sets the HNSW traversal beam width; ef <= 0 restores
+	// DefaultEfSearch.
+	SetEfSearch(ef int)
+	// SetQuantized selects SQ8 storage for graphs the index builds (the
+	// post-construction form of WithQuantized).
+	SetQuantized(on bool)
 }
 
-// TopKCtx runs a search under ctx: ContextSearchers get real mid-query
-// cancellation, arbitrary Searchers are checked before the (uninterruptible)
+// TopKCtx runs a search under ctx: an Index gets real mid-query
+// cancellation, a plain Searcher is checked before the (uninterruptible)
 // call. The error is ctx.Err() when the query was cancelled.
 func TopKCtx(ctx context.Context, s Searcher, query *table.Table, k int) ([]Scored, error) {
-	if cs, ok := s.(ContextSearcher); ok {
-		return cs.TopKContext(ctx, query, k)
+	if ix, ok := s.(Index); ok {
+		return ix.TopKContext(ctx, query, k)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -279,40 +283,31 @@ type PreparedQuery interface {
 // that did not produce it.
 var ErrForeignPrepared = errors.New("search: prepared query from a different searcher family")
 
-// PreparedSearcher splits query encoding out of the search, so fan-out
-// callers — the sharded scatter in internal/shard — encode a query exactly
-// once and search many sub-indexes with the prepared form instead of
-// re-deriving the representation per shard. TopKPrepared(ctx, Prepare(q), k)
-// returns exactly what TopKContext(ctx, q, k) would: in exact mode the
-// results are bit-identical. All three searchers in this package implement
-// it (the tuple-level searcher with a typed analogue).
-type PreparedSearcher interface {
-	ContextSearcher
-	// Prepare encodes the query once; the result may be reused across
-	// any number of TopKPrepared calls and across searchers sharing this
-	// searcher's encoder state.
+// PreparedIndex is an Index that splits query encoding out of the search,
+// so the sharded scatter in internal/shard encodes a query exactly once and
+// searches every shard with the prepared form. It is the type of a shard's
+// sub-searcher; Starmie and D3L implement it.
+type PreparedIndex interface {
+	Index
+	// Prepare encodes the query once; the result may be reused across any
+	// number of calls and across searchers sharing this one's encoder
+	// state.
 	Prepare(query *table.Table) PreparedQuery
-	// TopKPrepared is TopKContext over an already-encoded query.
+	// TopKPrepared is TopKContext over an already-encoded query: in exact
+	// mode TopKPrepared(ctx, Prepare(q), k) is bit-identical to
+	// TopKContext(ctx, q, k).
 	TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error)
-}
-
-// PreparedNominator is the candidate-only half of the prepared surface: it
-// nominates candidate tables for a prepared query WITHOUT scoring them,
-// and scores single tables on demand. A scatter-gather coordinator uses it
-// to run retrieval per shard but exact scoring exactly once, globally, on
-// the merged candidate pool — instead of every shard exactly scoring its
-// own oversampled pool.
-type PreparedNominator interface {
-	// NominatePrepared returns candidate table names, name-sorted. depth
-	// bounds the per-query-vector neighbor count for graph backends
-	// (HNSW); set-shaped backends (the exact scan, LSH buckets) ignore it
-	// and return their whole set. An approximate backend may return an
-	// empty list when it has no signal (e.g. empty LSH buckets); callers
-	// decide the fallback.
+	// NominatePrepared returns candidate table names, name-sorted, without
+	// scoring them, so a coordinator can run retrieval per shard and exact
+	// scoring once globally. depth bounds the per-query-vector neighbor
+	// count for graph backends (HNSW); set-shaped backends (the exact scan,
+	// LSH buckets) ignore it and return their whole set. An approximate
+	// backend may return an empty list when it has no signal (e.g. empty
+	// LSH buckets); callers decide the fallback.
 	NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error)
-	// ScorePrepared exactly scores one indexed table under pq. It panics
-	// on a foreign preparation or an unindexed table — both composition
-	// errors of the owning coordinator, not runtime conditions.
+	// ScorePrepared exactly scores one indexed table under pq. It panics on
+	// a foreign preparation or an unindexed table — both composition errors
+	// of the owning coordinator, not runtime conditions.
 	ScorePrepared(pq PreparedQuery, t *table.Table) float64
 }
 
@@ -359,43 +354,6 @@ func (m MaintenanceStats) Merge(o MaintenanceStats) MaintenanceStats {
 	return m
 }
 
-// Maintainable is an index whose compaction policy can be taken over by a
-// background maintainer: SetAutoCompact(false) stops mutations from
-// rebuilding inline (the threshold check that normally runs inside
-// AddTable/RemoveTable moves behind this hook), MaintenanceStats exposes the
-// accumulated tombstone debt, and Compact pays it down — typically on a
-// clone, off the query path, with a snapshot swap on completion. Compact
-// preserves result identity: a compacted index ranks exactly like its
-// tombstoned self. All three searchers in this package implement it.
-type Maintainable interface {
-	MaintenanceStats() MaintenanceStats
-	SetAutoCompact(on bool)
-	// Compact rebuilds tombstoned structures now and reports whether any
-	// work was done. Not safe concurrently with queries or mutations.
-	Compact() bool
-}
-
-// ModeViewer is a Staged searcher that can produce a cheap read-only view
-// of itself under a different retrieval mode, sharing all index state with
-// the original. A serving layer uses it to degrade individual requests to
-// ANN retrieval under load without flipping the shared searcher's mode.
-// The view must not be mutated; concurrent queries on view and original
-// are safe. ok is false when the target mode's backend is not installed
-// (e.g. an ANN view of a graph-less searcher).
-type ModeViewer interface {
-	ModeView(m Mode) (s Searcher, ok bool)
-}
-
-// Tunable is a searcher whose ANN candidate stage can be reshaped after
-// construction: SetOversample sizes the candidate pool of a top-k query
-// (ceil(Oversample*k) nominees before exact re-ranking) and SetEfSearch
-// sets the HNSW traversal beam width. Non-positive values restore the
-// package defaults. Exact-mode queries ignore both.
-type Tunable interface {
-	SetOversample(v float64)
-	SetEfSearch(ef int)
-}
-
 // IndexFootprint is one index's resident-size report: the storage kind
 // ("quantized", "float", or "none") and its estimated bytes.
 type IndexFootprint struct {
@@ -403,17 +361,7 @@ type IndexFootprint struct {
 	Bytes   int64
 }
 
-// IndexSizer reports the resident footprint of a searcher's ANN index
-// structures. The serving layer exports it as the dust_index_bytes gauge,
-// where the storage label separates quantized from float graphs.
-type IndexSizer interface {
-	// IndexBytes returns the storage kind — "quantized", "float", or
-	// "none" when no graph is installed — and the estimated resident
-	// bytes of the candidate index.
-	IndexBytes() (storage string, bytes int64)
-}
-
-// indexBytes derives the IndexSizer answer for a (possibly nil) graph.
+// indexBytes derives the IndexBytes answer for a (possibly nil) graph.
 func indexBytes(ix *ann.Index) (string, int64) {
 	switch {
 	case ix == nil:
@@ -423,17 +371,6 @@ func indexBytes(ix *ann.Index) (string, int64) {
 	default:
 		return "float", ix.Bytes()
 	}
-}
-
-// Cloner is a Searcher that can produce an independently mutable copy of
-// itself bound to a (cloned) lake: Incremental mutations on the clone never
-// disturb the original, while the heavy immutable index state — embedding
-// vectors, signatures — is shared between the two. Snapshot-swapped serving
-// (internal/serve) builds its copy-on-write shadows with it, so queries in
-// flight on the original keep reading a frozen index with no locking.
-type Cloner interface {
-	Searcher
-	CloneWithLake(l *lake.Lake) Searcher
 }
 
 // Option configures a searcher's execution, shared by every searcher in

@@ -134,7 +134,7 @@ func (s *Starmie) Name() string {
 	return "starmie"
 }
 
-// SetMode implements Staged: ANN switches the retrieval stage to HNSW
+// SetMode implements Index: ANN switches the retrieval stage to HNSW
 // candidates exactly re-ranked, building the graph over the indexed
 // column embeddings if none is installed yet; Exact restores the full
 // scan. An installed graph survives mode flips (and keeps absorbing
@@ -153,22 +153,14 @@ func (s *Starmie) SetMode(m Mode) error {
 	return nil
 }
 
-// RetrievalMode implements Staged.
+// RetrievalMode implements Index.
 func (s *Starmie) RetrievalMode() Mode { return s.mode }
-
-// Retriever implements Staged.
-func (s *Starmie) Retriever() Retriever {
-	if s.mode == ANN {
-		return starmieRetriever{s}
-	}
-	return exactRetriever{s.lake}
-}
 
 // HasANN reports whether an HNSW graph is installed (persistence asks
 // before writing the graph file).
 func (s *Starmie) HasANN() bool { return s.graph != nil }
 
-// IndexBytes implements IndexSizer: the storage mode and estimated
+// IndexBytes implements Index: the storage mode and estimated
 // resident bytes of the installed candidate graph.
 func (s *Starmie) IndexBytes() (string, int64) { return indexBytes(s.graph) }
 
@@ -177,7 +169,7 @@ func (s *Starmie) IndexBytes() (string, int64) { return indexBytes(s.graph) }
 // breakdown. Callers must not mutate it.
 func (s *Starmie) Graph() *ann.Index { return s.graph }
 
-// SetOversample implements Tunable; v <= 0 restores the default.
+// SetOversample implements Index; v <= 0 restores the default.
 func (s *Starmie) SetOversample(v float64) {
 	if v <= 0 {
 		v = DefaultOversample
@@ -185,7 +177,7 @@ func (s *Starmie) SetOversample(v float64) {
 	s.Oversample = v
 }
 
-// SetEfSearch implements Tunable; ef <= 0 restores the default.
+// SetEfSearch implements Index; ef <= 0 restores the default.
 func (s *Starmie) SetEfSearch(ef int) {
 	if ef <= 0 {
 		ef = DefaultEfSearch
@@ -193,8 +185,8 @@ func (s *Starmie) SetEfSearch(ef int) {
 	s.EfSearch = ef
 }
 
-// SetQuantized switches the storage mode used when this searcher builds
-// its candidate graph (WithQuantized's post-construction form). If a
+// SetQuantized implements Index: it switches the storage mode used when
+// this searcher builds its candidate graph. If a
 // graph with a different storage is already installed it is rebuilt from
 // the stored embeddings in lake order immediately — any accumulated
 // tombstones compact away with it.
@@ -279,12 +271,12 @@ func (s *Starmie) rebuildGraph() {
 	})
 }
 
-// SetAutoCompact implements Maintainable: with auto compaction off,
+// SetAutoCompact implements Index: with auto compaction off,
 // AddTable/RemoveTable/RefreshBig never rebuild the graph inline and
 // tombstones accumulate until Compact runs.
 func (s *Starmie) SetAutoCompact(on bool) { s.manualCompact = !on }
 
-// Compact implements Maintainable: it rebuilds the graph from its live
+// Compact implements Index: it rebuilds the graph from its live
 // nodes when any tombstones exist, reporting whether a rebuild ran.
 func (s *Starmie) Compact() bool {
 	if s.graph == nil || s.graph.Len() == s.graph.Live() {
@@ -294,7 +286,7 @@ func (s *Starmie) Compact() bool {
 	return true
 }
 
-// MaintenanceStats implements Maintainable.
+// MaintenanceStats implements Index.
 func (s *Starmie) MaintenanceStats() MaintenanceStats {
 	var st MaintenanceStats
 	if s.graph != nil {
@@ -305,11 +297,11 @@ func (s *Starmie) MaintenanceStats() MaintenanceStats {
 	return st
 }
 
-// ModeView implements ModeViewer: the view is a shallow copy sharing every
+// ModeView implements Index: the view is a shallow copy sharing every
 // piece of index state (including the graph, whose searches are safe
 // concurrently) under the requested retrieval mode. An ANN view of a
 // graph-less searcher is unavailable — build the graph first via SetMode.
-func (s *Starmie) ModeView(m Mode) (Searcher, bool) {
+func (s *Starmie) ModeView(m Mode) (Index, bool) {
 	if m == s.mode {
 		return s, true
 	}
@@ -348,29 +340,6 @@ func (s *Starmie) annCandidateNames(qCols []vector.Vec, perColumn int) []string 
 	}
 	sort.Strings(names)
 	return names
-}
-
-// starmieRetriever adapts the HNSW candidate stage to the Retriever
-// interface for external composition; the searcher's own hot path calls
-// annCandidateNames directly with the query columns it already encoded.
-type starmieRetriever struct{ s *Starmie }
-
-func (starmieRetriever) Name() string { return "hnsw" }
-
-// Retrieve nominates candidates for a top-`limit` query with exactly the
-// searcher's own plan: Oversample*limit nearest column embeddings per
-// query column, so composing through the interface has the same recall
-// as TopK itself. limit <= 0 asks for everything, which only the exact
-// scan provides — the same fallback the searcher's own TopK applies.
-func (r starmieRetriever) Retrieve(ctx context.Context, query *table.Table, limit int) ([]string, error) {
-	if limit <= 0 {
-		return exactRetriever{r.s.lake}.Retrieve(ctx, query, limit)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	perColumn := int(math.Ceil(r.s.Oversample * float64(limit)))
-	return r.s.annCandidateNames(r.s.EncodeQuery(query), perColumn), nil
 }
 
 // AddTable implements Incremental: the new table's columns join the corpus
@@ -464,10 +433,10 @@ func sameVecs(a, b []vector.Vec) bool {
 	return slices.EqualFunc(a, b, slices.Equal[vector.Vec])
 }
 
-// QueryWorkers implements QueryBounded: the returned searcher shares this
+// QueryWorkers implements Index: the returned searcher shares this
 // searcher's index (immutable after construction) and scores queries with
 // at most n workers.
-func (s *Starmie) QueryWorkers(n int) Searcher {
+func (s *Starmie) QueryWorkers(n int) Index {
 	c := *s
 	c.workers = n
 	return &c
@@ -507,7 +476,7 @@ func (s *Starmie) AdoptSharedCorpus(c *tokenize.Corpus) {
 	s.corpus, s.sharedCorpus = c, true
 }
 
-// CloneWithLake implements Cloner: the returned searcher is bound to l (a
+// CloneWithLake implements Index: the returned searcher is bound to l (a
 // clone of this searcher's lake holding the same table set) and owns its
 // own corpus and column-embedding maps, so AddTable/RemoveTable on it never
 // disturb this searcher. The embedding vectors themselves are shared — both
@@ -515,7 +484,7 @@ func (s *Starmie) AdoptSharedCorpus(c *tokenize.Corpus) {
 // refreshBig assigns par.Map's fresh output), never write into one. A
 // shared corpus is not cloned: it belongs to the coordinating layer, which
 // clones it once and rebinds every shard clone via AdoptSharedCorpus.
-func (s *Starmie) CloneWithLake(l *lake.Lake) Searcher {
+func (s *Starmie) CloneWithLake(l *lake.Lake) Index {
 	c := *s
 	c.lake = l
 	if !s.sharedCorpus {
@@ -585,14 +554,14 @@ type starmiePrepared struct {
 // Query implements PreparedQuery.
 func (p *starmiePrepared) Query() *table.Table { return p.query }
 
-// Prepare implements PreparedSearcher: the query's columns are embedded
+// Prepare implements PreparedIndex: the query's columns are embedded
 // exactly once. Searchers sharing this searcher's corpus — the shards of a
 // partitioned lake — accept the preparation interchangeably.
 func (s *Starmie) Prepare(query *table.Table) PreparedQuery {
 	return &starmiePrepared{query: query, cols: s.EncodeQuery(query)}
 }
 
-// TopKContext implements ContextSearcher as the staged plan: retrieve
+// TopKContext implements Index as the staged plan: retrieve
 // candidates (every lake table in Exact mode; the owners of the nearest
 // column embeddings in ANN mode), then score them exactly and keep the
 // top k. The candidate scan stops scoring further tables once ctx is
@@ -607,7 +576,7 @@ func (s *Starmie) TopKContext(ctx context.Context, query *table.Table, k int) ([
 	return s.TopKPrepared(ctx, pq, k)
 }
 
-// TopKPrepared implements PreparedSearcher: TopKContext minus the query
+// TopKPrepared implements PreparedIndex: TopKContext minus the query
 // encoding, which pq already carries.
 func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]Scored, error) {
 	p, ok := pq.(*starmiePrepared)
@@ -634,7 +603,7 @@ func (s *Starmie) TopKPrepared(ctx context.Context, pq PreparedQuery, k int) ([]
 	return out, err
 }
 
-// NominatePrepared implements PreparedNominator: the depth nearest column
+// NominatePrepared implements PreparedIndex: the depth nearest column
 // embeddings per query column in ANN mode (the per-shard nomination stage
 // of the sharded candidate-only plan), every lake table otherwise.
 func (s *Starmie) NominatePrepared(ctx context.Context, pq PreparedQuery, depth int) ([]string, error) {
@@ -651,7 +620,7 @@ func (s *Starmie) NominatePrepared(ctx context.Context, pq PreparedQuery, depth 
 	return s.annCandidateNames(p.cols, depth), nil
 }
 
-// ScorePrepared implements PreparedNominator.
+// ScorePrepared implements PreparedIndex.
 func (s *Starmie) ScorePrepared(pq PreparedQuery, t *table.Table) float64 {
 	return s.Score(pq.(*starmiePrepared).cols, t)
 }

@@ -97,7 +97,7 @@ func (ts *TupleSearch) Name() string {
 	return "starmie-tuples"
 }
 
-// SetMode is the tuple-level analogue of Staged.SetMode (TupleSearch is
+// SetMode is the tuple-level analogue of Index.SetMode (TupleSearch is
 // not a table-level Searcher, so it cannot implement the interface):
 // ANN retrieves candidates from an HNSW graph over the tuple embeddings
 // and re-scores them exactly; Exact restores the full scan.
@@ -136,11 +136,11 @@ func (ts *TupleSearch) buildGraph() {
 	}
 }
 
-// IndexBytes implements IndexSizer: the storage mode and estimated
-// resident bytes of the installed candidate graph.
+// IndexBytes is the tuple-level analogue of Index.IndexBytes: the storage
+// mode and estimated resident bytes of the installed candidate graph.
 func (ts *TupleSearch) IndexBytes() (string, int64) { return indexBytes(ts.graph) }
 
-// SetOversample implements Tunable; v <= 0 restores the default.
+// SetOversample sizes the ANN candidate pool; v <= 0 restores the default.
 func (ts *TupleSearch) SetOversample(v float64) {
 	if v <= 0 {
 		v = DefaultOversample
@@ -148,7 +148,7 @@ func (ts *TupleSearch) SetOversample(v float64) {
 	ts.Oversample = v
 }
 
-// SetEfSearch implements Tunable; ef <= 0 restores the default.
+// SetEfSearch sets the HNSW beam width; ef <= 0 restores the default.
 func (ts *TupleSearch) SetEfSearch(ef int) {
 	if ef <= 0 {
 		ef = DefaultEfSearch
@@ -173,9 +173,8 @@ func (ts *TupleSearch) maybeRebuild() {
 	ts.rebuildGraph()
 }
 
-// SetAutoCompact implements the Maintainable surface (typed locally, as
-// with SetMode): with auto compaction off, mutations never rebuild the
-// graph inline.
+// SetAutoCompact is the tuple-level analogue of Index.SetAutoCompact: with
+// auto compaction off, mutations never rebuild the graph inline.
 func (ts *TupleSearch) SetAutoCompact(on bool) { ts.manualCompact = !on }
 
 // Compact rebuilds the graph from its live nodes when any tombstones
@@ -314,7 +313,7 @@ func (ts *TupleSearch) PrepareTuples(query *table.Table) *PreparedTupleQuery {
 }
 
 // TopKContext is TopK with a cancellation path (the tuple-level analogue of
-// ContextSearcher, typed for tuple hits): once ctx is cancelled the
+// Index.TopKContext, typed for tuple hits): once ctx is cancelled the
 // remaining tuples are not scored and ctx.Err() is returned. In ANN mode
 // the scan covers only the HNSW candidate pool instead of every tuple;
 // k <= 0 asks for the full ranking, which only the exact scan provides.

@@ -93,8 +93,8 @@ func TestPreparedEquivalence(t *testing.T) {
 
 // TestCloseSharedPool pins the family-wide pool lifecycle: Close is
 // idempotent, clones share the pool so closing either side closes both,
-// and query-bounded views — which scatter inline without the pool — keep
-// serving after the family pool is gone.
+// and query-bounded views — which scatter inline rather than on the pool —
+// keep serving after the family pool is gone.
 func TestCloseSharedPool(t *testing.T) {
 	b, queries := shardBench(t)
 	q := queries[0]

@@ -15,7 +15,7 @@
 //
 //   - Encode once, scatter prepared. The query's representation (Starmie
 //     column embeddings, D3L signatures and profiles) is derived exactly
-//     once via search.PreparedSearcher and the prepared form fans out, so
+//     once via search.PreparedIndex and the prepared form fans out, so
 //     shard count never multiplies encoding cost.
 //   - Bounded gather. In exact mode each shard returns a truncated local
 //     top list (k/n plus slack, never more than k) merged by a k-way heap;
@@ -38,6 +38,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -165,17 +166,16 @@ type Config struct {
 	Quantized bool
 }
 
-// Searcher is a sharded table-union searcher: search.Searcher backed by N
-// independent per-shard indexes. It implements the full searcher surface
-// the pipeline composes against — ContextSearcher, Staged, Incremental,
-// QueryBounded, Cloner — by scattering to the shards and merging, so a
-// dust.Pipeline (and everything above it: persistence, serving, snapshot
-// swaps) treats a shard set exactly like a monolithic index.
+// Searcher is a sharded table-union searcher: a search.Index backed by N
+// independent per-shard indexes. It implements the Index surface by
+// scattering to the shards and merging, so a dust.Pipeline (and everything
+// above it: persistence, serving, snapshot swaps) treats a shard set
+// exactly like a monolithic index.
 type Searcher struct {
 	kind     string
 	full     *lake.Lake
 	sublakes []*lake.Lake
-	subs     []search.Searcher
+	subs     []search.PreparedIndex
 	// corpus is the one TF-IDF corpus shared by every Starmie shard. It
 	// covers the FULL lake, so per-shard embeddings — and therefore
 	// per-shard exact scores — are bit-identical to an unsharded index's;
@@ -186,11 +186,15 @@ type Searcher struct {
 	corpus  *tokenize.Corpus
 	workers int
 	mode    search.Mode
-	// pool runs the query scatter. It is created at construction, shared
-	// with every clone (snapshot swaps reuse the same workers), and nil on
-	// query-bounded views, which scatter inline instead — a serving request
-	// must not pay goroutine spin-up, and must not leak pool workers.
+	// pool runs the query scatter. It is created at construction and
+	// shared with every clone and view of the family (snapshot swaps reuse
+	// the same workers), so Close on any member releases it.
 	pool *scatterPool
+	// inline marks query-bounded views: they scatter inline via par.For
+	// instead of on the pool — a bounded view caps one request's
+	// parallelism, so it must neither borrow the family's full-width pool
+	// nor pay for goroutine handoffs it cannot use.
+	inline bool
 	// timings, when non-nil, accumulates per-stage query wall time; see
 	// Instrument.
 	timings *StageTimings
@@ -246,7 +250,7 @@ func newSearcher(kind string, l *lake.Lake, n int, cfg Config) *Searcher {
 		kind:       kind,
 		full:       l,
 		sublakes:   Partition(l, n),
-		subs:       make([]search.Searcher, n),
+		subs:       make([]search.PreparedIndex, n),
 		workers:    cfg.Workers,
 		pool:       newScatterPool(cfg.Workers),
 		Oversample: search.DefaultOversample,
@@ -288,7 +292,7 @@ func Assemble(full *lake.Lake, kind string, parts []Part, cfg Config) (*Searcher
 		kind:       kind,
 		full:       full,
 		sublakes:   make([]*lake.Lake, len(parts)),
-		subs:       make([]search.Searcher, len(parts)),
+		subs:       make([]search.PreparedIndex, len(parts)),
 		workers:    cfg.Workers,
 		Oversample: search.DefaultOversample,
 	}
@@ -301,17 +305,21 @@ func Assemble(full *lake.Lake, kind string, parts []Part, cfg Config) (*Searcher
 			}
 			seen++
 		}
-		switch kind {
-		case KindStarmie:
-			if _, ok := p.Searcher.(*search.Starmie); !ok {
-				return nil, fmt.Errorf("%w: shard %d is %T, want %s", ErrLayoutMismatch, i, p.Searcher, kind)
+		var sub search.PreparedIndex
+		switch ps := p.Searcher.(type) {
+		case *search.Starmie:
+			if kind == KindStarmie {
+				sub = ps
 			}
-		case KindD3L:
-			if _, ok := p.Searcher.(*search.D3L); !ok {
-				return nil, fmt.Errorf("%w: shard %d is %T, want %s", ErrLayoutMismatch, i, p.Searcher, kind)
+		case *search.D3L:
+			if kind == KindD3L {
+				sub = ps
 			}
 		}
-		s.sublakes[i], s.subs[i] = p.Lake, p.Searcher
+		if sub == nil {
+			return nil, fmt.Errorf("%w: shard %d is %T, want %s", ErrLayoutMismatch, i, p.Searcher, kind)
+		}
+		s.sublakes[i], s.subs[i] = p.Lake, sub
 	}
 	// Every part table exists in the lake and sub-lakes cannot hold
 	// duplicates internally, so seen == full.Len() iff the parts cover the
@@ -338,17 +346,9 @@ func Assemble(full *lake.Lake, kind string, parts []Part, cfg Config) (*Searcher
 	// The pool starts only once the layout is validated, so a rejected
 	// Assemble leaks no worker goroutines.
 	s.pool = newScatterPool(cfg.Workers)
-	s.mode = s.shardMode()
+	// The shards' retrieval mode is uniform by construction; trust shard 0.
+	s.mode = s.subs[0].RetrievalMode()
 	return s, nil
-}
-
-// shardMode reads the retrieval mode the shards are actually in (uniform
-// by construction; Assemble trusts shard 0).
-func (s *Searcher) shardMode() search.Mode {
-	if st, ok := s.subs[0].(search.Staged); ok {
-		return st.RetrievalMode()
-	}
-	return search.Exact
 }
 
 // NumShards returns the shard count.
@@ -360,7 +360,7 @@ func (s *Searcher) Kind() string { return s.kind }
 
 // Shard exposes shard i's searcher; the persistence layer saves each shard
 // through it.
-func (s *Searcher) Shard(i int) search.Searcher { return s.subs[i] }
+func (s *Searcher) Shard(i int) search.PreparedIndex { return s.subs[i] }
 
 // ShardTables returns every shard's table names in sub-lake iteration
 // order — the shard map an index manifest records and a warm start rebuilds
@@ -398,8 +398,8 @@ func (s *Searcher) TopK(query *table.Table, k int) []search.Scored {
 	return out
 }
 
-// TopKContext implements search.ContextSearcher as prepared scatter-gather:
-// the query representation is derived exactly once (search.PreparedSearcher)
+// TopKContext implements search.Index as prepared scatter-gather: the
+// query representation is derived exactly once (search.PreparedIndex)
 // and fans out across every shard on the family's long-lived pool; the
 // gather merges the shards' exactly-scored answers under the global (score
 // desc, name asc) order — the same total order the unsharded scorer
@@ -414,12 +414,6 @@ func (s *Searcher) TopKContext(ctx context.Context, query *table.Table, k int) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	subs, ok := s.preparedSubs()
-	if !ok {
-		// A shard kind without prepared-query support (none of the built-in
-		// kinds) still works: whole-query scatter at per-shard limit k.
-		return s.topKLegacy(ctx, query, k)
-	}
 	// The coordinator owns the per-request trace: encode maps to the
 	// encode-once stage, scatter to retrieve, gather to score. Sub-searcher
 	// calls get a masked context so the shards' own stage recording does not
@@ -429,7 +423,7 @@ func (s *Searcher) TopKContext(ctx context.Context, query *table.Table, k int) (
 		ctx = search.WithTrace(ctx, nil)
 	}
 	t0 := time.Now()
-	pq := subs[0].Prepare(query)
+	pq := s.subs[0].Prepare(query)
 	encodeNS := time.Since(t0).Nanoseconds()
 	if tr != nil {
 		tr.EncodeNS.Add(encodeNS)
@@ -437,10 +431,10 @@ func (s *Searcher) TopKContext(ctx context.Context, query *table.Table, k int) (
 
 	var hits []search.Scored
 	var err error
-	if noms, ok := s.nominatorSubs(); ok && s.mode == search.ANN && k > 0 {
-		hits, err = s.topKANN(ctx, pq, noms, k, tr)
+	if s.mode == search.ANN && k > 0 {
+		hits, err = s.topKANN(ctx, pq, k, tr)
 	} else {
-		hits, err = s.topKExact(ctx, pq, subs, k, tr)
+		hits, err = s.topKExact(ctx, pq, k, tr)
 	}
 	if s.timings != nil && err == nil {
 		s.timings.Queries.Add(1)
@@ -449,37 +443,9 @@ func (s *Searcher) TopKContext(ctx context.Context, query *table.Table, k int) (
 	return hits, err
 }
 
-// preparedSubs returns every shard as a search.PreparedSearcher when the
-// whole set supports the encode-once scatter (both built-in kinds do).
-func (s *Searcher) preparedSubs() ([]search.PreparedSearcher, bool) {
-	out := make([]search.PreparedSearcher, len(s.subs))
-	for i, sub := range s.subs {
-		ps, ok := sub.(search.PreparedSearcher)
-		if !ok {
-			return nil, false
-		}
-		out[i] = ps
-	}
-	return out, true
-}
-
-// nominatorSubs returns every shard as a search.PreparedNominator when the
-// whole set supports the candidate-only ANN plan.
-func (s *Searcher) nominatorSubs() ([]search.PreparedNominator, bool) {
-	out := make([]search.PreparedNominator, len(s.subs))
-	for i, sub := range s.subs {
-		nom, ok := sub.(search.PreparedNominator)
-		if !ok {
-			return nil, false
-		}
-		out[i] = nom
-	}
-	return out, true
-}
-
 // runScatter runs fn(i) for i in [0, n) across the shard family's
-// long-lived pool, or inline via par.For on pool-less query-bounded views
-// (the serving path, where per-request goroutine spin-up is exactly the
+// long-lived pool, or inline via par.For on query-bounded views (the
+// serving path, where per-request goroutine spin-up is exactly the
 // fixed cost this layer removes). Shards are handed to the pool in
 // min(workers, n) contiguous chunks rather than one task per shard: extra
 // tasks beyond the worker count cannot add parallelism, but each one costs
@@ -487,7 +453,7 @@ func (s *Searcher) nominatorSubs() ([]search.PreparedNominator, bool) {
 // Pool tasks from concurrent queries share the worker bound but never
 // wait on each other (par.Pool.Run).
 func (s *Searcher) runScatter(n int, fn func(i int)) {
-	if s.pool == nil {
+	if s.inline {
 		par.For(s.workers, n, fn)
 		return
 	}
@@ -523,8 +489,8 @@ func (s *Searcher) runScatter(n int, fn func(i int)) {
 // overfilling the top k). One second round therefore always suffices, and
 // the result is bit-identical to an unsharded scan. k <= 0 requests the
 // full ranking from every shard in one round.
-func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs []search.PreparedSearcher, k int, tr *search.Trace) ([]search.Scored, error) {
-	n := len(subs)
+func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, k int, tr *search.Trace) ([]search.Scored, error) {
+	n := len(s.subs)
 	limit := k
 	if k > 0 {
 		if s.mode == search.Exact && n > 1 {
@@ -532,7 +498,7 @@ func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs 
 				limit = l
 			}
 		} else if s.mode != search.Exact {
-			// ANN fallback (a shard kind that prepares but cannot nominate):
+			// ANN mode lands here only as topKANN's empty-pool fallback:
 			// per-shard candidate pools are approximate, so the threshold
 			// bound does not apply; keep the oversampled single round.
 			limit = int(math.Ceil(s.Oversample * float64(k)))
@@ -542,7 +508,7 @@ func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs 
 	hits := make([][]search.Scored, n)
 	errs := make([]error, n)
 	s.runScatter(n, func(i int) {
-		hits[i], errs[i] = subs[i].TopKPrepared(ctx, pq, limit)
+		hits[i], errs[i] = s.subs[i].TopKPrepared(ctx, pq, limit)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -565,7 +531,7 @@ func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs 
 			more := make([][]search.Scored, len(open))
 			errs2 := make([]error, len(open))
 			s.runScatter(len(open), func(i int) {
-				more[i], errs2[i] = subs[open[i]].TopKPrepared(ctx, pq, k)
+				more[i], errs2[i] = s.subs[open[i]].TopKPrepared(ctx, pq, k)
 			})
 			if err := errors.Join(errs2...); err != nil {
 				return nil, err
@@ -599,15 +565,15 @@ func (s *Searcher) topKExact(ctx context.Context, pq search.PreparedQuery, subs 
 // the exact path, mirroring the monolithic searchers' own fallback. The
 // final ranking sorts by the same (score desc, name asc) total order as
 // everywhere else, so results are deterministic for every worker count.
-func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, noms []search.PreparedNominator, k int, tr *search.Trace) ([]search.Scored, error) {
-	n := len(noms)
+func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, k int, tr *search.Trace) ([]search.Scored, error) {
+	n := len(s.subs)
 	depth := int(math.Ceil(s.Oversample*float64(k)/float64(n))) + annNominateSlack
 
 	tScatter := time.Now()
 	nameLists := make([][]string, n)
 	errs := make([]error, n)
 	s.runScatter(n, func(i int) {
-		nameLists[i], errs[i] = noms[i].NominatePrepared(ctx, pq, depth)
+		nameLists[i], errs[i] = s.subs[i].NominatePrepared(ctx, pq, depth)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -640,14 +606,13 @@ func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, noms []
 		}
 	}
 	if len(pool) == 0 {
-		subs, _ := s.preparedSubs() // nominators are a superset of prepared
-		return s.topKExact(ctx, pq, subs, k, tr)
+		return s.topKExact(ctx, pq, k, tr)
 	}
 	scored := make([]search.Scored, len(pool))
 	if err := par.ForCtx(ctx, s.workers, len(pool), func(i int) {
 		scored[i] = search.Scored{
 			Table: pool[i].t,
-			Score: noms[pool[i].owner].ScorePrepared(pq, pool[i].t),
+			Score: s.subs[pool[i].owner].ScorePrepared(pq, pool[i].t),
 		}
 	}); err != nil {
 		return nil, err
@@ -664,27 +629,6 @@ func (s *Searcher) topKANN(ctx context.Context, pq search.PreparedQuery, noms []
 		tr.ScoreNS.Add(gatherNS)
 	}
 	return scored, nil
-}
-
-// topKLegacy is the whole-query scatter kept for shard kinds without
-// prepared-query support: every shard runs its own encode + local top-k at
-// per-shard limit k, and the gather merges. Exact-mode parity holds (each
-// shard's local top k always covers its share of the global top k); it
-// just pays the duplicated encoding the prepared path removes.
-func (s *Searcher) topKLegacy(ctx context.Context, query *table.Table, k int) ([]search.Scored, error) {
-	limit := k
-	if k > 0 && s.mode != search.Exact {
-		limit = int(math.Ceil(s.Oversample * float64(k)))
-	}
-	hits := make([][]search.Scored, len(s.subs))
-	errs := make([]error, len(s.subs))
-	s.runScatter(len(s.subs), func(i int) {
-		hits[i], errs[i] = search.TopKCtx(ctx, s.subs[i], query, limit)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return mergeHits(hits, k), nil
 }
 
 // hitLess is the global ranking order: score descending, table name
@@ -776,7 +720,7 @@ func mergeHits(hits [][]search.Scored, k int) []search.Scored {
 	return out
 }
 
-// SetMode implements search.Staged by fanning the mode to every shard:
+// SetMode implements search.Index by fanning the mode to every shard:
 // entering ANN builds one HNSW graph per Starmie shard (or is a no-op for
 // shards that already carry one, e.g. after a warm start).
 func (s *Searcher) SetMode(m search.Mode) error {
@@ -784,57 +728,16 @@ func (s *Searcher) SetMode(m search.Mode) error {
 		return fmt.Errorf("shard: SetMode(%d): %w", int(m), search.ErrUnknownMode)
 	}
 	for _, sub := range s.subs {
-		if st, ok := sub.(search.Staged); ok {
-			if err := st.SetMode(m); err != nil {
-				return err
-			}
+		if err := sub.SetMode(m); err != nil {
+			return err
 		}
 	}
 	s.mode = m
 	return nil
 }
 
-// RetrievalMode implements search.Staged.
+// RetrievalMode implements search.Index.
 func (s *Searcher) RetrievalMode() search.Mode { return s.mode }
-
-// Retriever implements search.Staged: the candidate stage is the union of
-// every shard's own retrieval stage.
-func (s *Searcher) Retriever() search.Retriever { return scatterRetriever{s} }
-
-// scatterRetriever adapts the per-shard candidate stages to the Retriever
-// interface: candidates are the union of each shard's nominees,
-// name-sorted for determinism.
-type scatterRetriever struct{ s *Searcher }
-
-func (r scatterRetriever) Name() string {
-	if st, ok := r.s.subs[0].(search.Staged); ok {
-		return "scatter(" + st.Retriever().Name() + ")"
-	}
-	return "scatter"
-}
-
-func (r scatterRetriever) Retrieve(ctx context.Context, query *table.Table, limit int) ([]string, error) {
-	seen := make(map[string]bool)
-	for _, sub := range r.s.subs {
-		st, ok := sub.(search.Staged)
-		if !ok {
-			return nil, fmt.Errorf("%w: %T is not staged", ErrUnknownKind, sub)
-		}
-		names, err := st.Retriever().Retrieve(ctx, query, limit)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range names {
-			seen[n] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
 
 // owner returns the index of the shard holding name, or -1. Removals route
 // by membership rather than re-deriving Assign so a layout loaded from a
@@ -848,7 +751,7 @@ func (s *Searcher) owner(name string) int {
 	return -1
 }
 
-// AddTable implements search.Incremental: the table routes to its
+// AddTable implements search.Index: the table routes to its
 // hash-assigned shard, whose index absorbs it as a delta update. For
 // Starmie the shared corpus gains the table's column documents first —
 // exactly when an unsharded AddTable would — and every OTHER shard then
@@ -860,10 +763,6 @@ func (s *Searcher) AddTable(t *table.Table) error {
 		return fmt.Errorf("shard: AddTable(%q): %w", t.Name, search.ErrDuplicateTable)
 	}
 	o := Assign(t.Name, len(s.subs))
-	inc, ok := s.subs[o].(search.Incremental)
-	if !ok {
-		return fmt.Errorf("%w: shard %d is %T", ErrUnknownKind, o, s.subs[o])
-	}
 	if err := s.sublakes[o].Add(t); err != nil {
 		return err
 	}
@@ -872,7 +771,7 @@ func (s *Searcher) AddTable(t *table.Table) error {
 			s.corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
 		}
 	}
-	if err := inc.AddTable(t); err != nil {
+	if err := s.subs[o].AddTable(t); err != nil {
 		// Roll the shared state back so a refused table leaves no trace.
 		if s.corpus != nil {
 			for i := range t.Columns {
@@ -886,7 +785,7 @@ func (s *Searcher) AddTable(t *table.Table) error {
 	return nil
 }
 
-// RemoveTable implements search.Incremental, routing to the owning shard
+// RemoveTable implements search.Index, routing to the owning shard
 // and (for Starmie) retiring the table's documents from the shared corpus
 // before the shard un-indexes, so the owner's own refresh already sees the
 // post-removal statistics; the remaining shards refresh afterwards.
@@ -895,17 +794,13 @@ func (s *Searcher) RemoveTable(name string) error {
 	if o < 0 {
 		return fmt.Errorf("shard: RemoveTable(%q): %w", name, search.ErrUnknownTable)
 	}
-	inc, ok := s.subs[o].(search.Incremental)
-	if !ok {
-		return fmt.Errorf("%w: shard %d is %T", ErrUnknownKind, o, s.subs[o])
-	}
 	t := s.sublakes[o].Get(name)
 	if s.corpus != nil {
 		for i := range t.Columns {
 			s.corpus.RemoveDocument(embed.ColumnTokens(&t.Columns[i]))
 		}
 	}
-	if err := inc.RemoveTable(name); err != nil {
+	if err := s.subs[o].RemoveTable(name); err != nil {
 		if s.corpus != nil {
 			for i := range t.Columns {
 				s.corpus.AddDocument(embed.ColumnTokens(&t.Columns[i]))
@@ -933,23 +828,19 @@ func (s *Searcher) refreshOthers(mutated int) {
 	}
 }
 
-// QueryWorkers implements search.QueryBounded: the returned searcher
-// shares every shard's immutable index and bounds both the scatter width
-// and each shard's scoring to n workers. The view drops the family pool
-// and scatters inline (par.For; fully sequential at n = 1) — a bounded
-// view exists to cap one request's parallelism, so it must neither borrow
-// the family's full-width pool nor spin up goroutines of its own.
-func (s *Searcher) QueryWorkers(n int) search.Searcher {
+// QueryWorkers implements search.Index: the returned searcher shares
+// every shard's immutable index and bounds both the scatter width and each
+// shard's scoring to n workers. The view scatters inline (par.For; fully
+// sequential at n = 1) but keeps the family pool reachable, so closing the
+// view — a pipeline re-bounded by dust.WithWorkers holds only the view —
+// still releases the pool's workers.
+func (s *Searcher) QueryWorkers(n int) search.Index {
 	c := *s
 	c.workers = n
-	c.pool = nil
-	c.subs = make([]search.Searcher, len(s.subs))
+	c.inline = true
+	c.subs = make([]search.PreparedIndex, len(s.subs))
 	for i, sub := range s.subs {
-		if qb, ok := sub.(search.QueryBounded); ok {
-			c.subs[i] = qb.QueryWorkers(n)
-		} else {
-			c.subs[i] = sub
-		}
+		c.subs[i] = sub.QueryWorkers(n).(search.PreparedIndex)
 	}
 	return &c
 }
@@ -960,19 +851,17 @@ func (s *Searcher) QueryWorkers(n int) search.Searcher {
 // querying starts.
 func (s *Searcher) Instrument(st *StageTimings) { s.timings = st }
 
-// SetQuantized fans the graph storage mode to every shard (see
-// search.Starmie.SetQuantized): shards already carrying a graph of a
-// different storage rebuild it from their stored embeddings. Shards
-// whose searcher kind has no quantized form (D3L) are unaffected.
+// SetQuantized implements search.Index by fanning the graph storage mode
+// to every shard (see search.Starmie.SetQuantized): shards already carrying
+// a graph of a different storage rebuild it from their stored embeddings.
+// Shards whose searcher kind has no quantized form (D3L) are unaffected.
 func (s *Searcher) SetQuantized(on bool) {
 	for _, sub := range s.subs {
-		if q, ok := sub.(interface{ SetQuantized(bool) }); ok {
-			q.SetQuantized(on)
-		}
+		sub.SetQuantized(on)
 	}
 }
 
-// SetOversample implements search.Tunable: it sizes this set's merged ANN
+// SetOversample implements search.Index: it sizes this set's merged ANN
 // candidate pool and fans the factor to the shards (whose own Oversample
 // only matters on their local fallback paths). v <= 0 restores the
 // default.
@@ -982,33 +871,25 @@ func (s *Searcher) SetOversample(v float64) {
 	}
 	s.Oversample = v
 	for _, sub := range s.subs {
-		if t, ok := sub.(search.Tunable); ok {
-			t.SetOversample(v)
-		}
+		sub.SetOversample(v)
 	}
 }
 
-// SetEfSearch implements search.Tunable by fanning the beam width to
-// every shard's own graph traversal. ef <= 0 restores the default.
+// SetEfSearch implements search.Index by fanning the beam width to every
+// shard's own graph traversal. ef <= 0 restores the default.
 func (s *Searcher) SetEfSearch(ef int) {
 	for _, sub := range s.subs {
-		if t, ok := sub.(search.Tunable); ok {
-			t.SetEfSearch(ef)
-		}
+		sub.SetEfSearch(ef)
 	}
 }
 
-// IndexBytes implements search.IndexSizer as the sum over the shards.
+// IndexBytes implements search.Index as the sum over the shards.
 // Storage is uniform across shards by construction; a hand-assembled set
 // that disagrees reports "mixed".
 func (s *Searcher) IndexBytes() (string, int64) {
 	storage, total := "none", int64(0)
 	for _, sub := range s.subs {
-		sz, ok := sub.(search.IndexSizer)
-		if !ok {
-			continue
-		}
-		st, b := sz.IndexBytes()
+		st, b := sub.IndexBytes()
 		total += b
 		switch {
 		case st == "none":
@@ -1028,29 +909,23 @@ func (s *Searcher) IndexBytes() (string, int64) {
 func (s *Searcher) ShardIndexBytes() []search.IndexFootprint {
 	out := make([]search.IndexFootprint, len(s.subs))
 	for i, sub := range s.subs {
-		out[i].Storage = "none"
-		if sz, ok := sub.(search.IndexSizer); ok {
-			out[i].Storage, out[i].Bytes = sz.IndexBytes()
-		}
+		out[i].Storage, out[i].Bytes = sub.IndexBytes()
 	}
 	return out
 }
 
 // ShardMaintenanceStats returns every shard's own tombstone debt, indexed
 // by shard — the per-shard view a maintainer (or an operator dashboard)
-// drills into when the merged MaintenanceStats trips a threshold. Shards
-// whose searcher is not Maintainable report zero stats.
+// drills into when the merged MaintenanceStats trips a threshold.
 func (s *Searcher) ShardMaintenanceStats() []search.MaintenanceStats {
 	out := make([]search.MaintenanceStats, len(s.subs))
 	for i, sub := range s.subs {
-		if m, ok := sub.(search.Maintainable); ok {
-			out[i] = m.MaintenanceStats()
-		}
+		out[i] = sub.MaintenanceStats()
 	}
 	return out
 }
 
-// MaintenanceStats implements search.Maintainable as the merged per-shard
+// MaintenanceStats implements search.Index as the merged per-shard
 // view: counts sum across shards, dead fractions take the per-shard
 // maximum (one rotten shard should trip the maintainer even if the rest
 // of the lake is clean).
@@ -1062,79 +937,56 @@ func (s *Searcher) MaintenanceStats() search.MaintenanceStats {
 	return agg
 }
 
-// SetAutoCompact implements search.Maintainable by fanning the policy to
-// every shard.
+// SetAutoCompact implements search.Index by fanning the policy to every
+// shard.
 func (s *Searcher) SetAutoCompact(on bool) {
 	for _, sub := range s.subs {
-		if m, ok := sub.(search.Maintainable); ok {
-			m.SetAutoCompact(on)
-		}
+		sub.SetAutoCompact(on)
 	}
 }
 
-// Compact implements search.Maintainable: every shard compacts its own
+// Compact implements search.Index: every shard compacts its own
 // tombstoned structures (in parallel on the family pool — compaction runs
 // on clones, off the query path, so the pool is otherwise idle for this
 // searcher). Reports whether any shard did work.
 func (s *Searcher) Compact() bool {
-	maints := make([]search.Maintainable, len(s.subs))
-	for i, sub := range s.subs {
-		if m, ok := sub.(search.Maintainable); ok {
-			maints[i] = m
-		}
-	}
-	did := make([]bool, len(maints))
-	s.runScatter(len(maints), func(i int) {
-		if maints[i] != nil {
-			did[i] = maints[i].Compact()
-		}
-	})
-	for _, d := range did {
-		if d {
-			return true
-		}
-	}
-	return false
+	did := make([]bool, len(s.subs))
+	s.runScatter(len(s.subs), func(i int) { did[i] = s.subs[i].Compact() })
+	return slices.Contains(did, true)
 }
 
-// ModeView implements search.ModeViewer: a shallow copy of the shard set
+// ModeView implements search.Index: a shallow copy of the shard set
 // whose sub-searchers are themselves mode views, sharing all index state
 // (graphs included) with the originals. The view keeps the family pool —
 // it serves queries exactly like the original — and is unavailable unless
 // every shard can produce the requested view.
-func (s *Searcher) ModeView(m search.Mode) (search.Searcher, bool) {
+func (s *Searcher) ModeView(m search.Mode) (search.Index, bool) {
 	if m == s.mode {
 		return s, true
 	}
 	c := *s
 	c.mode = m
-	c.subs = make([]search.Searcher, len(s.subs))
+	c.subs = make([]search.PreparedIndex, len(s.subs))
 	for i, sub := range s.subs {
-		mv, ok := sub.(search.ModeViewer)
+		v, ok := sub.ModeView(m)
 		if !ok {
 			return nil, false
 		}
-		v, ok := mv.ModeView(m)
-		if !ok {
-			return nil, false
-		}
-		c.subs[i] = v
+		c.subs[i] = v.(search.PreparedIndex)
 	}
 	return &c, true
 }
 
 // Close releases the scatter pool's worker goroutines. The pool is shared
-// by every clone in the searcher's family, so call Close once the whole
+// by every clone and view in the searcher's family, so call Close once the whole
 // family is done serving — dust.Pipeline.Close does this at pipeline
 // teardown — not per snapshot clone. Close is idempotent across the
 // family; queries on any family member after Close panic.
 func (s *Searcher) Close() {
-	if s.pool != nil {
-		s.pool.close()
-	}
+	s.pool.close()
 }
 
-// CloneWithLake implements search.Cloner for snapshot-swapped serving: l
+// CloneWithLake implements search.Index for snapshot-swapped serving: l
 // must be a clone of the full lake holding the same table set. Every shard
 // clones against a clone of its own sub-lake (heavy embedding state stays
 // shared, per the sub-searchers' Clone contracts), and the Starmie shards
@@ -1142,17 +994,17 @@ func (s *Searcher) Close() {
 // again owns exactly one global TF-IDF state. The clone keeps the family's
 // scatter pool — snapshot swaps must not churn worker goroutines — so
 // Close applies family-wide (see Close).
-func (s *Searcher) CloneWithLake(l *lake.Lake) search.Searcher {
+func (s *Searcher) CloneWithLake(l *lake.Lake) search.Index {
 	c := *s
 	c.full = l
 	c.sublakes = make([]*lake.Lake, len(s.sublakes))
-	c.subs = make([]search.Searcher, len(s.subs))
+	c.subs = make([]search.PreparedIndex, len(s.subs))
 	if s.corpus != nil {
 		c.corpus = s.corpus.Clone()
 	}
 	for i, sub := range s.subs {
 		c.sublakes[i] = s.sublakes[i].Clone()
-		c.subs[i] = sub.(search.Cloner).CloneWithLake(c.sublakes[i])
+		c.subs[i] = sub.CloneWithLake(c.sublakes[i]).(search.PreparedIndex)
 		if st, ok := c.subs[i].(*search.Starmie); ok {
 			st.AdoptSharedCorpus(c.corpus)
 		}

@@ -13,6 +13,9 @@ import (
 	"dust/internal/table"
 )
 
+// A shard set is a drop-in search.Index for the pipeline.
+var _ search.Index = (*Searcher)(nil)
+
 // shardBench generates the shared test lake. The lake is salted with one
 // table whose columns exceed the encoder token budget, so Starmie's
 // corpus-sensitive TF-IDF path — the part of scoring that would diverge

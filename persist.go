@@ -52,10 +52,10 @@ var (
 	// searchers do).
 	ErrUnsupportedSearcher = errors.New("dust: searcher does not support persistence")
 	// ErrNotIncremental reports AddTable/RemoveTable on a pipeline whose
-	// searcher does not implement search.Incremental.
+	// searcher is a plain search.Searcher rather than a search.Index.
 	ErrNotIncremental = errors.New("dust: searcher does not support incremental updates")
-	// ErrNotCloneable reports Clone on a pipeline whose searcher does not
-	// implement search.Cloner (the built-in Starmie and D3L searchers do).
+	// ErrNotCloneable reports Clone on a pipeline whose searcher is a plain
+	// search.Searcher rather than a search.Index (every built-in one is).
 	ErrNotCloneable = errors.New("dust: searcher does not support cloning")
 	// ErrShardLayout reports a sharded index directory whose shard files
 	// do not match the manifest's recorded shard map — most often a shard
@@ -90,15 +90,15 @@ func (p *Pipeline) Epoch() uint64 { return p.epoch }
 // O(tables), not O(index). AddTable/RemoveTable on the clone leave the
 // original — and any queries in flight against it — untouched, which is
 // what lets a serving layer apply mutations on a copy-on-write shadow and
-// atomically swap it in. Requires a search.Cloner searcher.
+// atomically swap it in. Requires a search.Index searcher.
 func (p *Pipeline) Clone() (*Pipeline, error) {
-	cl, ok := p.searcher.(search.Cloner)
+	ix, ok := p.index()
 	if !ok {
 		return nil, fmt.Errorf("dust: Clone: %T: %w", p.searcher, ErrNotCloneable)
 	}
 	c := *p
 	c.lake = p.lake.Clone()
-	c.searcher = cl.CloneWithLake(c.lake)
+	c.searcher = ix.CloneWithLake(c.lake)
 	return &c, nil
 }
 
@@ -106,14 +106,14 @@ func (p *Pipeline) Clone() (*Pipeline, error) {
 // to the search index — no rebuild. Query results afterwards are
 // bit-identical to a pipeline constructed from scratch over the grown lake.
 func (p *Pipeline) AddTable(t *table.Table) error {
-	inc, ok := p.searcher.(search.Incremental)
+	ix, ok := p.index()
 	if !ok {
 		return fmt.Errorf("dust: AddTable: %T: %w", p.searcher, ErrNotIncremental)
 	}
 	if err := p.lake.Add(t); err != nil {
 		return err
 	}
-	if err := inc.AddTable(t); err != nil {
+	if err := ix.AddTable(t); err != nil {
 		// Keep lake and index in sync: a table the index refused must not
 		// linger in the lake (the lake Add above was this call's own).
 		_ = p.lake.Remove(t.Name)
@@ -126,7 +126,7 @@ func (p *Pipeline) AddTable(t *table.Table) error {
 // RemoveTable removes a table from the search index and the lake, costing
 // O(delta) instead of a rebuild.
 func (p *Pipeline) RemoveTable(name string) error {
-	inc, ok := p.searcher.(search.Incremental)
+	ix, ok := p.index()
 	if !ok {
 		return fmt.Errorf("dust: RemoveTable: %T: %w", p.searcher, ErrNotIncremental)
 	}
@@ -138,7 +138,7 @@ func (p *Pipeline) RemoveTable(name string) error {
 	}
 	// Searchers un-index while the table is still in the lake (Starmie has
 	// to retire its columns from the corpus).
-	if err := inc.RemoveTable(name); err != nil {
+	if err := ix.RemoveTable(name); err != nil {
 		return err
 	}
 	// The index has mutated: bump the epoch before the lake sync so an
@@ -240,10 +240,8 @@ func (p *Pipeline) SaveIndex(dir string) error {
 	// searcher file) persist beside the searcher index so an ANN warm
 	// start skips the graph builds too. A sharded layout saves one graph
 	// per shard; hasANN means every shard carries one.
-	annMode := false
-	if st, ok := p.searcher.(search.Staged); ok {
-		annMode = st.RetrievalMode() == search.ANN
-	}
+	ix, _ := p.index() // searcherKind accepted a built-in searcher: an Index
+	annMode := ix.RetrievalMode() == search.ANN
 	hasANN := false
 	switch {
 	case sharded && kind == shard.KindStarmie:
@@ -380,7 +378,13 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 
 	var searcher search.Searcher
 	if len(shardTables) > 0 {
-		searcher, err = loadShardedSearcher(indexDir, kind, shardTables, l, hasANN)
+		// The shard set's scatter pool is sized at assembly, so it takes the
+		// caller's WithWorkers bound (0, the GOMAXPROCS default, without one).
+		var o Pipeline
+		for _, opt := range opts {
+			opt(&o)
+		}
+		searcher, err = loadShardedSearcher(indexDir, kind, shardTables, l, hasANN, o.workers)
 		if err != nil {
 			return nil, err
 		}
@@ -453,7 +457,7 @@ func LoadPipelineLake(l *lake.Lake, indexDir string, opts ...Option) (*Pipeline,
 // re-binds the set to one shared corpus. A shard file missing for a
 // recorded shard is ErrShardLayout — the count in the manifest and the
 // files on disk disagree.
-func loadShardedSearcher(indexDir, kind string, shardTables [][]string, l *lake.Lake, hasANN bool) (search.Searcher, error) {
+func loadShardedSearcher(indexDir, kind string, shardTables [][]string, l *lake.Lake, hasANN bool, workers int) (search.Searcher, error) {
 	parts := make([]shard.Part, len(shardTables))
 	for i, names := range shardTables {
 		sl := lake.New(fmt.Sprintf("%s#%d", l.Name, i))
@@ -509,7 +513,7 @@ func loadShardedSearcher(indexDir, kind string, shardTables [][]string, l *lake.
 		}
 		parts[i] = shard.Part{Lake: sl, Searcher: sub}
 	}
-	s, err := shard.Assemble(l, kind, parts, shard.Config{})
+	s, err := shard.Assemble(l, kind, parts, shard.Config{Workers: workers})
 	if err != nil {
 		// Keeps shard.ErrLayoutMismatch reachable through errors.Is.
 		return nil, fmt.Errorf("dust: load sharded index: %w", err)
